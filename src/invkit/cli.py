@@ -94,17 +94,13 @@ def _build_family_graph(args) -> tuple[graphs.Graph, str, int, int | None]:
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
         return graphs.prism_family(spec), fam, n, spec.r
-    if fam == "cycle":
-        try:
-            return graphs.cycle(n), fam, n, None
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
-    if fam == "path":
-        try:
-            return graphs.path(n), fam, n, None
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
-    raise _UsageError(f"unknown family {fam!r}")
+    build = {"cycle": graphs.cycle, "path": graphs.path}.get(fam)
+    if build is None:
+        raise _UsageError(f"unknown family {fam!r}")
+    try:
+        return build(n), fam, n, None
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _load_input_graph(path: str) -> graphs.Graph:
@@ -115,54 +111,43 @@ def _load_input_graph(path: str) -> graphs.Graph:
         raise _BadInputError(f"cannot read {path}: {exc}") from None
     try:
         return graphs.parse_edge_list(text)
-    except graphs.EdgeListParseError as exc:
+    except ValueError as exc:  # EdgeListParseError included
         raise _BadInputError(f"{path}: {exc}") from None
-    except ValueError as exc:
-        raise _BadInputError(f"{path}: {exc}") from None
+
+
+def _report_fields(rep: exact.InvariantReport | closed_form.FamilyFormulaResult) -> dict:
+    """The five invariant fields of a record, from an exact or a closed-form report."""
+    tau = rep.tree_count if isinstance(rep, exact.InvariantReport) else rep.tau
+    return {"kf": rep.kf, "kf_star": rep.kf_star, "tau": tau, "wiener": rep.wiener, "gutman": rep.gutman}
+
+
+def _disagreements(got: dict, expected: dict) -> list[tuple[str, object, object]]:
+    """(field, expected, got) for every closed-form field that `got` contradicts; None fields are unknown."""
+    return [
+        (name, want, got[name]) for name, want in expected.items() if want is not None and got[name] != want
+    ]
 
 
 def _closed_form_fields(family: str, n: int, r: int | None) -> dict:
-    if family == "gn":
-        rep = closed_form.family_report(n, 0)
-        return {
-            "kf": rep.kf,
-            "kf_star": rep.kf_star,
-            "tau": rep.tau,
-            "wiener": rep.wiener,
-            "gutman": rep.gutman,
-        }
-    if family == "grn":
-        rep = closed_form.family_report(n, r or 0)
-        return {
-            "kf": rep.kf,
-            "kf_star": None,
-            "tau": rep.tau,
-            "wiener": rep.wiener,
-            "gutman": None,
-        }
     if family == "cycle":
-        return {
-            "kf": closed_form.kf_cycle(n),
-            "kf_star": None,
-            "tau": None,
-            "wiener": None,
-            "gutman": None,
-        }
-    raise _UsageError(f"closed-form method is not available for family {family!r}")
+        return {"kf": closed_form.kf_cycle(n), "kf_star": None, "tau": None, "wiener": None, "gutman": None}
+    if family not in ("gn", "grn"):
+        raise _UsageError(f"closed-form method is not available for family {family!r}")
+    fields = _report_fields(closed_form.family_report(n, r))
+    if family == "grn":
+        fields.update(kf_star=None, gutman=None)
+    return fields
 
 
-def _spectral_fields(g: graphs.Graph) -> dict:
+def _spectral_fields(g: graphs.Graph) -> tuple[float, float, spectral.TreeCount]:
+    """Kf, Kf* and the spanning-tree count from the Laplacian and normalized-Laplacian spectra."""
     eigs_l = spectral.eigenvalues_sym(spectral.laplacian(g))
     eigs_nl = spectral.eigenvalues_sym(spectral.normalized_laplacian(g))
-    tc = spectral.spectral_tree_count(eigs_l, g.vertex_count)
-    return {
-        "kf": spectral.spectral_kf(eigs_l, g.vertex_count),
-        "kf_star": spectral.spectral_kf_star(eigs_nl, g.edge_count),
-        "tau": tc.value if tc.fits else tc.log_value,
-        "tau_is_log": not tc.fits,
-        "wiener": exact.wiener(g),
-        "gutman": exact.gutman(g),
-    }
+    return (
+        spectral.spectral_kf(eigs_l, g.vertex_count),
+        spectral.spectral_kf_star(eigs_nl, g.edge_count),
+        spectral.spectral_tree_count(eigs_l, g.vertex_count),
+    )
 
 
 def _rel_err(approx: float, truth) -> float:
@@ -231,13 +216,7 @@ def cmd_compute(args) -> int:
     exact_rep = None
     if method in ("exact", "all"):
         exact_rep = exact.full_report(g)
-        record.update(
-            kf=exact_rep.kf,
-            kf_star=exact_rep.kf_star,
-            tau=exact_rep.tree_count,
-            wiener=exact_rep.wiener,
-            gutman=exact_rep.gutman,
-        )
+        record.update(_report_fields(exact_rep))
     if method in ("closed-form", "all"):
         if family == "file" or family == "path":
             if method == "closed-form":
@@ -247,31 +226,20 @@ def cmd_compute(args) -> int:
             if method == "closed-form":
                 record.update(cf)
             else:
-                for name, val in cf.items():
-                    if val is not None and record.get(name) != val:
-                        mismatches.append(
-                            f"closed-form {name}: expected {val}, exact gave {record.get(name)}"
-                        )
+                for name, want, got in _disagreements(record, cf):
+                    mismatches.append(f"closed-form {name}: expected {want}, exact gave {got}")
     if method in ("spectral", "all"):
-        sp = _spectral_fields(g)
+        kf, kf_star, tc = _spectral_fields(g)
         if method == "spectral":
-            record.update(
-                kf=sp["kf"],
-                kf_star=sp["kf_star"],
-                tau=sp["tau"] if not sp["tau_is_log"] else None,
-                wiener=sp["wiener"],
-                gutman=sp["gutman"],
-            )
+            record.update(kf=kf, kf_star=kf_star, tau=tc.value, wiener=exact.wiener(g), gutman=exact.gutman(g))
         else:
-            assert exact_rep is not None
-            if _rel_err(sp["kf"], exact_rep.kf) > SPECTRAL_RTOL:
-                mismatches.append(f"spectral kf {sp['kf']} vs exact {exact_rep.kf}")
-            if _rel_err(sp["kf_star"], exact_rep.kf_star) > SPECTRAL_RTOL:
-                mismatches.append(f"spectral kf_star {sp['kf_star']} vs exact {exact_rep.kf_star}")
+            if _rel_err(kf, exact_rep.kf) > SPECTRAL_RTOL:
+                mismatches.append(f"spectral kf {kf} vs exact {exact_rep.kf}")
+            if _rel_err(kf_star, exact_rep.kf_star) > SPECTRAL_RTOL:
+                mismatches.append(f"spectral kf_star {kf_star} vs exact {exact_rep.kf_star}")
             log_exact = math.log(exact_rep.tree_count)
-            log_spec = math.log(sp["tau"]) if not sp["tau_is_log"] else sp["tau"]
-            if abs(log_spec - log_exact) > SPECTRAL_RTOL:
-                mismatches.append(f"spectral tau log {log_spec} vs exact log {log_exact}")
+            if abs(tc.log_value - log_exact) > SPECTRAL_RTOL:
+                mismatches.append(f"spectral tau log {tc.log_value} vs exact log {log_exact}")
 
     _emit_record(record, args.format)
     if mismatches:
@@ -338,12 +306,10 @@ def cmd_table(args) -> int:
 # verify
 
 
-def _exact_triple(case: tuple[int, tuple[int, ...]]) -> tuple[Fraction, int, int]:
-    """kf, tau, wiener of one deleted-edge family member (worker-safe)."""
+def _member_report(case: tuple[int, tuple[int, ...]]) -> exact.InvariantReport:
+    """Exact report of one deleted-edge family member (worker-safe)."""
     n, dset = case
-    g = graphs.prism_family(graphs.PrismSpec(n, frozenset(dset)))
-    rm = exact.resistance_matrix(g)
-    return rm.pairs_sum(), rm.den, exact.wiener(g)
+    return exact.full_report(graphs.prism_family(graphs.PrismSpec(n, frozenset(dset))))
 
 
 def _verify_cases(n_max: int, exhaustive_max: int, rng: random.Random):
@@ -372,62 +338,39 @@ def _thread_count() -> int:
         return 1
 
 
+def _pool_size(requested: int, cpus: int | None, cases: int) -> int:
+    """Worker processes for the sweep: the request, capped at the CPU count and the case count.
+
+    On Linux the pool forks all of its workers up front, so an uncapped
+    INVKIT_THREADS would start that many processes.
+    """
+    return max(1, min(requested, cpus or 1, cases))
+
+
 def cmd_verify(args) -> int:
     rng = random.Random(args.seed)
     mismatches: list[str] = []
 
-    # closed form vs exact oracle on the intact family
-    checked = 0
-    for n in range(3, args.n_max + 1):
-        g = graphs.prism_family(graphs.PrismSpec(n))
-        rep = exact.full_report(g)
-        expected = {
-            "kf": closed_form.kf_gn(n),
-            "kf_star": closed_form.kf_star_gn(n),
-            "tau": closed_form.tau_gn(n),
-            "wiener": closed_form.wiener_gn(n),
-            "gutman": closed_form.gutman_gn(n),
-        }
-        got = {
-            "kf": rep.kf,
-            "kf_star": rep.kf_star,
-            "tau": rep.tree_count,
-            "wiener": rep.wiener,
-            "gutman": rep.gutman,
-        }
-        for name in expected:
-            checked += 1
-            if expected[name] != got[name]:
-                mismatches.append(
-                    f"n={n} D=() invariant={name} expected={expected[name]} got={got[name]}"
-                )
-    print(f"intact family, closed form vs exact: {checked} checks")
-
-    # deleted-edge sweep, exhaustive below the cutoff, sampled above
+    # closed form vs exact oracle: every deletion subset up to the cutoff,
+    # sampled above it; the r = 0 members also check the weighted indices
     cases = _verify_cases(args.n_max, args.exhaustive_d_max, rng)
-    threads = _thread_count()
-    if threads > 1:
+    workers = _pool_size(_thread_count(), os.cpu_count(), len(cases))
+    if workers > 1:
         try:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(_exact_triple, cases, chunksize=16))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                reports = list(pool.map(_member_report, cases, chunksize=16))
         except OSError:
-            results = [_exact_triple(c) for c in cases]
+            reports = [_member_report(c) for c in cases]
     else:
-        results = [_exact_triple(c) for c in cases]
-    for (n, dset), (kf, tau, w) in zip(cases, results):
-        r = len(dset)
-        if kf != closed_form.kf_grn(n, r):
-            mismatches.append(
-                f"n={n} D={dset} invariant=kf expected={closed_form.kf_grn(n, r)} got={kf}"
-            )
-        if tau != closed_form.tau_grn(n, r):
-            mismatches.append(
-                f"n={n} D={dset} invariant=tau expected={closed_form.tau_grn(n, r)} got={tau}"
-            )
-        if w != closed_form.wiener_grn(n, r):
-            mismatches.append(
-                f"n={n} D={dset} invariant=wiener expected={closed_form.wiener_grn(n, r)} got={w}"
-            )
+        reports = [_member_report(c) for c in cases]
+    intact_checks = 0
+    for (n, dset), rep in zip(cases, reports):
+        expected = _report_fields(closed_form.family_report(n, len(dset)))
+        if not dset:
+            intact_checks += len(expected)
+        for name, want, got in _disagreements(_report_fields(rep), expected):
+            mismatches.append(f"n={n} D={dset} invariant={name} expected={want} got={got}")
+    print(f"intact family, closed form vs exact: {intact_checks} checks")
     print(f"deleted-edge sweep: {len(cases)} members, 3 invariants each")
 
     # spectrum split checks
@@ -499,12 +442,12 @@ def cmd_ratio(args) -> int:
             raise _UsageError(f"--step must be >= 1, got {args.step}")
         ns = list(_parse_range(args.n_range))[:: args.step]
     r = args.r if args.family == "grn" else 0
+    try:
+        rows = [(n, *closed_form.ratio_report(n, r)) for n in ns]
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     print("n,r,ratio,deviation")
-    for n in ns:
-        try:
-            ratio, dev = closed_form.ratio_report(n, r)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
+    for n, ratio, dev in rows:
         print(f"{n},{r},{format_fraction(ratio, 6)},{format_fraction(dev, 6)}")
     return EXIT_OK
 
@@ -567,10 +510,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _BadInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except graphs.DisconnectedGraphError as exc:
+    except (_BadInputError, graphs.DisconnectedGraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except ValueError as exc:

@@ -39,25 +39,18 @@ def _grounded_laplacian(g: Graph) -> list[list[int]]:
 def _bareiss_det(rows: list[list[int]]) -> int:
     """Determinant by Bareiss fraction-free elimination; consumes `rows`.
 
-    Row pivoting keeps the division exact for any integer matrix; a fully
-    zero pivot column short-circuits to 0.
+    The input must be symmetric positive definite, as every grounded
+    Laplacian of a connected graph is: then each leading pivot is positive
+    and no row exchange is ever needed. A non-positive pivot means the
+    precondition failed and raises ValueError.
     """
     a = rows
     k = len(a)
-    if k == 0:
-        return 1
-    sign = 1
     prev = 1
-    for col in range(k - 1):
-        if a[col][col] == 0:
-            for i in range(col + 1, k):
-                if a[i][col] != 0:
-                    a[col], a[i] = a[i], a[col]
-                    sign = -sign
-                    break
-            else:
-                return 0
+    for col in range(k):
         pivot = a[col][col]
+        if pivot <= 0:
+            raise ValueError("matrix is not positive definite")
         arow = a[col]
         for i in range(col + 1, k):
             ai = a[i]
@@ -66,7 +59,7 @@ def _bareiss_det(rows: list[list[int]]) -> int:
                 ai[j] = (pivot * ai[j] - m * arow[j]) // prev
             ai[col] = 0
         prev = pivot
-    return sign * a[k - 1][k - 1]
+    return prev
 
 
 def _solve_inverse_scaled(rows: list[list[int]]) -> tuple[int, list[list[int]]]:
@@ -141,9 +134,6 @@ class ResistanceMatrix:
 
     def entry(self, i: int, j: int) -> Fraction:
         return Fraction(self.num[i][j], self.den)
-
-    def as_fractions(self) -> list[list[Fraction]]:
-        return [[Fraction(x, self.den) for x in row] for row in self.num]
 
     def pairs_sum(self) -> Fraction:
         """Sum of resistances over unordered vertex pairs."""
@@ -268,9 +258,7 @@ def spanning_trees(g: Graph) -> int:
 
 
 def full_report(g: Graph) -> InvariantReport:
-    """Compute all five invariants exactly for a connected graph."""
-    if not is_connected(g):
-        raise DisconnectedGraphError("invariant report requires a connected graph")
+    """Compute all five invariants exactly; DisconnectedGraphError if g is disconnected."""
     rm = resistance_matrix(g)
     deg = degrees(g)
     return InvariantReport(

@@ -159,8 +159,9 @@ def spectral_kf_star(eigs, m_edges: int) -> float:
 class TreeCount:
     """Spanning-tree count estimated from a spectrum.
 
-    `log_value` is always valid; `value` is the rounded count when the
-    product fits integer-exact floating range, else None.
+    `log_value` is always valid; `value` is the rounded count when a
+    propagated floating-point error bound on the product is below 0.5, so
+    that rounding recovers the exact integer, else None.
     """
 
     log_value: float
@@ -175,11 +176,21 @@ def spectral_tree_count(eigs, n_vertices: int) -> TreeCount:
     """Spanning-tree count from Laplacian eigenvalues, computed in log space.
 
     The product of nonzero eigenvalues over n is accumulated as a log-sum so
-    large graphs cannot overflow; the rounded integer is reported only while
-    it is faithfully representable (below 2**53).
+    large graphs cannot overflow. The error bound takes each eigenvalue to be
+    within order * eps * (largest eigenvalue) of the true one, the backward
+    error of a symmetric eigensolver, and adds the rounding of every log,
+    the sum and the final exp.
     """
+    eigs = np.asarray(eigs, dtype=np.float64)
     nz = _nonzero_eigenvalues(eigs)
-    log_value = float(np.sum(np.log(nz))) - math.log(n_vertices)
-    if log_value < 53 * math.log(2.0):
+    logs = np.log(nz)
+    log_value = float(np.sum(logs)) - math.log(n_vertices)
+    eps = float(np.finfo(np.float64).eps)
+    rel = len(eigs) * eps * float(np.max(eigs)) / nz
+    if np.max(rel, initial=0.0) >= 1.0:
+        return TreeCount(log_value=log_value, value=None)
+    log_err = float(np.sum(-np.log1p(-rel)))
+    log_err += (len(eigs) + 2) * eps * (float(np.sum(np.abs(logs))) + math.log(n_vertices))
+    if log_value + math.log(math.expm1(log_err) + eps) < math.log(0.5):
         return TreeCount(log_value=log_value, value=round(math.exp(log_value)))
     return TreeCount(log_value=log_value, value=None)

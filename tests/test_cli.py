@@ -104,6 +104,13 @@ def test_compute_spectral_close_to_exact(capsys):
     assert row[5] == "20736"
 
 
+def test_compute_spectral_leaves_uncertified_tree_count_blank(capsys):
+    # the float product rounds to 4493714625921047; the true count is 4493714625921024
+    code, out, _ = run(capsys, ["compute", "--family", "gn", "--n", "14", "--method", "spectral"])
+    assert code == 0
+    assert out.strip().splitlines()[1].split(",")[5] == ""
+
+
 def test_compute_markdown(capsys):
     code, out, _ = run(
         capsys, ["compute", "--family", "cycle", "--n", "5", "--format", "markdown"]
@@ -232,6 +239,20 @@ def test_ratio_usage_errors(capsys):
     assert run(capsys, ["ratio", "--family", "gn", "--n-list", "a,b"])[0] == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ratio", "--n-list", "2"],
+        ["ratio", "--family", "grn", "--n-list", "20,5", "--r", "10"],
+    ],
+)
+def test_ratio_validates_every_row_before_printing(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -261,6 +282,17 @@ def test_thread_count_env_parsing(monkeypatch):
     assert _thread_count() == 1
 
 
+def test_pool_size_is_capped_by_cpus_and_cases():
+    from invkit.cli import _pool_size
+
+    assert _pool_size(1, 8, 100) == 1
+    assert _pool_size(4, 8, 100) == 4
+    assert _pool_size(10**6, 2, 100) == 2
+    assert _pool_size(10**6, 64, 3) == 3
+    assert _pool_size(4, None, 100) == 1  # CPU count unknown
+    assert _pool_size(4, 8, 0) == 1
+
+
 def test_compute_all_flags_disagreement(capsys, monkeypatch):
     """compute --method all exits nonzero when a route disagrees."""
     from invkit import closed_form
@@ -284,6 +316,19 @@ def test_verify_detects_sabotaged_formula(capsys, monkeypatch):
     assert code == 3
     assert "MISMATCH" in out
     assert "n=5" in out and "invariant=kf" in out
+
+
+@pytest.mark.parametrize("formula, invariant", [("gutman_gn", "gutman"), ("kf_star_gn", "kf_star")])
+def test_verify_checks_weighted_indices_of_intact_members(capsys, monkeypatch, formula, invariant):
+    from invkit import closed_form
+
+    real = getattr(closed_form, formula)
+    monkeypatch.setattr(closed_form, formula, lambda n: real(n) + 1)
+    code, out, _ = run(capsys, ["verify", "--n-max", "5"])
+    assert code == 3
+    lines = [line for line in out.splitlines() if line.startswith("MISMATCH")]
+    assert lines and all(f"D=() invariant={invariant} " in line for line in lines)
+    assert len(lines) == 3  # one intact member for each n = 3, 4, 5
 
 
 def test_verify_parallel_matches_sequential(capsys, monkeypatch):

@@ -25,7 +25,9 @@ from invkit import (
     spectral_kf,
     spectral_kf_star,
     spectral_tree_count,
+    spanning_trees,
 )
+from oracles import random_connected_graph
 
 
 def test_laplacian_triangle():
@@ -247,6 +249,32 @@ def test_spectral_tree_count_k6():
     assert tc.fits
     assert tc.value == 1296
     assert math.isclose(tc.log_value, math.log(1296), rel_tol=1e-9)
+
+
+def test_spectral_tree_count_value_is_exact_whenever_it_fits():
+    rng = random.Random(14)
+    members = [prism_family(PrismSpec(n)) for n in range(3, 21)]
+    seeded = [
+        random_connected_graph(rng, rng.randint(1, 24), extra_edge_prob=rng.random() * 0.6)
+        for _ in range(150)
+    ]
+    fitting = 0
+    for g in members + seeded:
+        tc = spectral_tree_count(eigenvalues_sym(laplacian(g)), g.vertex_count)
+        if tc.fits:
+            fitting += 1
+            assert tc.value == spanning_trees(g), g.edges()
+    assert fitting >= 100
+
+
+def test_spectral_tree_count_withholds_an_inexact_integer():
+    # exp(sum of log eigenvalues) rounds to 4493714625921047 here; the true
+    # count is 4493714625921024, still below 2**53
+    g = prism_family(PrismSpec(14))
+    tc = spectral_tree_count(eigenvalues_sym(laplacian(g)), g.vertex_count)
+    assert spanning_trees(g) == 4493714625921024 < 2**53
+    assert not tc.fits
+    assert math.isclose(tc.log_value, math.log(4493714625921024), rel_tol=1e-12)
 
 
 def test_spectral_tree_count_log_only_branch():
