@@ -110,9 +110,12 @@ def _load_input_graph(path: str) -> graphs.Graph:
     except OSError as exc:
         raise _BadInputError(f"cannot read {path}: {exc}") from None
     try:
-        return graphs.parse_edge_list(text)
+        g = graphs.parse_edge_list(text)
     except ValueError as exc:  # EdgeListParseError included
         raise _BadInputError(f"{path}: {exc}") from None
+    if g.vertex_count < 2:
+        raise _BadInputError(f"{path}: need at least 2 vertices, got {g.vertex_count}")
+    return g
 
 
 def _report_fields(rep: exact.InvariantReport | closed_form.FamilyFormulaResult) -> dict:
@@ -348,6 +351,8 @@ def _pool_size(requested: int, cpus: int | None, cases: int) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.n_max < 3:
+        raise _UsageError(f"--n-max must be >= 3, got {args.n_max}")
     rng = random.Random(args.seed)
     mismatches: list[str] = []
 

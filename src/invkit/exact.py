@@ -4,11 +4,12 @@ Everything here is integer or `fractions.Fraction` work; no floating point.
 Resistances come from a grounded-Laplacian solve: delete the row and column
 of vertex 0, invert the remaining matrix exactly, and read effective
 resistances off the inverse. The inversion runs entirely over integers:
-Bareiss fraction-free forward elimination followed by an integer back
-substitution that produces det(M) * M^{-1}, so the lone rational division
-happens when an entry is finally read out. The same elimination gives the
-spanning-tree count (matrix-tree cofactor), which doubles as the common
-denominator of every resistance.
+one Bareiss fraction-free forward elimination core, `_eliminate`, followed
+by an integer back substitution that produces Y = det(M) * M^{-1}, so the
+lone rational division happens when an entry is finally read out. Y is
+exactly symmetric, so each solved column is stored as a row. The same core,
+run without a right-hand side, gives the spanning-tree count (matrix-tree
+cofactor), which doubles as the common denominator of every resistance.
 
 Distance-based indices (Wiener, Gutman) use per-vertex BFS and never touch
 the linear algebra.
@@ -36,15 +37,20 @@ def _grounded_laplacian(g: Graph) -> list[list[int]]:
     return m
 
 
-def _bareiss_det(rows: list[list[int]]) -> int:
-    """Determinant by Bareiss fraction-free elimination; consumes `rows`.
+def _eliminate(a: list[list[int]], b: list[list[int]] | None = None) -> int:
+    """Bareiss fraction-free forward elimination of `a`, in place; returns det(a).
 
-    The input must be symmetric positive definite, as every grounded
-    Laplacian of a connected graph is: then each leading pivot is positive
-    and no row exchange is ever needed. A non-positive pivot means the
-    precondition failed and raises ValueError.
+    `a` must be symmetric positive definite, as every grounded Laplacian of a
+    connected graph is: then each leading pivot is positive and no row
+    exchange is ever needed. A non-positive pivot means the precondition
+    failed and raises ValueError. Afterwards the upper triangle of `a` holds
+    the echelon form U, and everything below the diagonal is zero.
+
+    If `b` (the identity) is given, every row operation is applied to it too.
+    Row i of b stays zero right of column i, and b[i][col] is still 0 when
+    step `col` reaches row i, so the step touches columns 0..col and b[i][i].
+    A row whose multiplier is zero is only rescaled.
     """
-    a = rows
     k = len(a)
     prev = 1
     for col in range(k):
@@ -52,59 +58,44 @@ def _bareiss_det(rows: list[list[int]]) -> int:
         if pivot <= 0:
             raise ValueError("matrix is not positive definite")
         arow = a[col]
+        brow = None if b is None else b[col]
         for i in range(col + 1, k):
             ai = a[i]
             m = ai[col]
-            for j in range(col + 1, k):
-                ai[j] = (pivot * ai[j] - m * arow[j]) // prev
-            ai[col] = 0
+            if m:
+                for j in range(col + 1, k):
+                    ai[j] = (pivot * ai[j] - m * arow[j]) // prev
+                ai[col] = 0  # unread from here on; frees the big integer
+            else:
+                for j in range(col + 1, k):
+                    ai[j] = (pivot * ai[j]) // prev
+            if brow is not None:
+                bi = b[i]
+                if m:
+                    for j in range(col + 1):
+                        bi[j] = (pivot * bi[j] - m * brow[j]) // prev
+                else:
+                    for j in range(col):
+                        bi[j] = (pivot * bi[j]) // prev
+                bi[i] = (pivot * bi[i]) // prev
         prev = pivot
     return prev
 
 
-def _solve_inverse_scaled(rows: list[list[int]]) -> tuple[int, list[list[int]]]:
+def _solve_inverse_scaled(a: list[list[int]]) -> tuple[int, list[list[int]]]:
     """Return (det, Y) with Y = det * inverse, for symmetric positive definite input.
 
-    Forward pass is Bareiss on [M | I]; the transformed identity stays lower
-    triangular, so only columns <= row index are touched. Back substitution
-    then solves U y = det * b column by column in exact integers (every
-    intermediate quotient is an integer by Cramer's rule). Consumes `rows`.
+    Eliminates [M | I] with `_eliminate`, then solves U y = det * b column by
+    column in exact integers (every intermediate quotient is an integer by
+    Cramer's rule). Y is exactly symmetric, so column c is stored as row c.
+    Consumes `a`.
     """
-    a = rows
     k = len(a)
     b = [[0] * k for _ in range(k)]
     for i in range(k):
         b[i][i] = 1
-    prev = 1
-    for col in range(k - 1):
-        pivot = a[col][col]
-        if pivot <= 0:
-            raise ValueError("matrix is not positive definite")
-        arow = a[col]
-        brow = b[col]
-        for i in range(col + 1, k):
-            ai = a[i]
-            m = ai[col]
-            bi = b[i]
-            if m:
-                for j in range(col + 1, k):
-                    ai[j] = (pivot * ai[j] - m * arow[j]) // prev
-                for j in range(col):
-                    bi[j] = (pivot * bi[j] - m * brow[j]) // prev
-                bi[col] = (-m * brow[col]) // prev
-                bi[i] = (pivot * bi[i]) // prev
-                ai[col] = 0
-            else:
-                for j in range(col + 1, k):
-                    ai[j] = (pivot * ai[j]) // prev
-                for j in range(col):
-                    bi[j] = (pivot * bi[j]) // prev
-                bi[i] = (pivot * bi[i]) // prev
-        prev = pivot
-    det = a[k - 1][k - 1]
-    if det <= 0:
-        raise ValueError("matrix is not positive definite")
-    y = [[0] * k for _ in range(k)]
+    det = _eliminate(a, b)
+    y = []
     for c in range(k):
         col_y = [0] * k
         for i in range(k - 1, -1, -1):
@@ -115,8 +106,7 @@ def _solve_inverse_scaled(rows: list[list[int]]) -> tuple[int, list[list[int]]]:
             q, rem = divmod(s, ai[i])
             assert rem == 0, "back substitution lost exactness"
             col_y[i] = q
-        for i in range(k):
-            y[i][c] = col_y[i]
+        y.append(col_y)
     return det, y
 
 
@@ -177,17 +167,19 @@ def resistance_matrix(g: Graph) -> ResistanceMatrix:
         raise ValueError("resistance needs at least 2 vertices")
     if not is_connected(g):
         raise DisconnectedGraphError("resistance distance requires a connected graph")
-    det, y = _solve_inverse_scaled(_grounded_laplacian(g))
-    # zero-extend at vertex 0: x[0][*] = x[*][0] = 0
-    diag = [0] + [y[i][i] for i in range(n - 1)]
+    det, x = _solve_inverse_scaled(_grounded_laplacian(g))
+    # zero-extend at vertex 0 in place: x[0][*] = x[*][0] = 0
+    for row in x:
+        row.insert(0, 0)
+    x.insert(0, [0] * n)
+    diag = [x[i][i] for i in range(n)]
     num = [[0] * n for _ in range(n)]
     for i in range(n):
         di = diag[i]
+        xi = x[i]
         row = num[i]
-        yi = y[i - 1] if i >= 1 else None
         for j in range(i + 1, n):
-            cross = yi[j - 1] if i >= 1 else 0
-            val = di + diag[j] - 2 * cross
+            val = di + diag[j] - 2 * xi[j]
             row[j] = val
             num[j][i] = val
     return ResistanceMatrix(order=n, num=num, den=det)
@@ -254,7 +246,7 @@ def spanning_trees(g: Graph) -> int:
         return 1
     if not is_connected(g):
         return 0
-    return _bareiss_det(_grounded_laplacian(g))
+    return _eliminate(_grounded_laplacian(g))
 
 
 def full_report(g: Graph) -> InvariantReport:

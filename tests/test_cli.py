@@ -142,10 +142,13 @@ def test_compute_usage_errors(capsys):
 
 def test_compute_disconnected_input_exits_2(tmp_path, capsys):
     edge_file = tmp_path / "disc.edges"
-    edge_file.write_text("4 2\n0 1\n2 3\n")
-    code, _, err = run(capsys, ["compute", "--input", str(edge_file)])
-    assert code == 2
-    assert "disconnected" in err
+    for text, message in [("4 2\n0 1\n2 3\n", "disconnected"), ("1 0\n", "at least 2 vertices")]:
+        edge_file.write_text(text)
+        for method in ("exact", "spectral", "closed-form", "all"):
+            code, out, err = run(capsys, ["compute", "--input", str(edge_file), "--method", method])
+            assert code == 2
+            assert out == ""
+            assert message in err
 
 
 def test_compute_malformed_input_exits_2(tmp_path, capsys):
@@ -261,6 +264,14 @@ def test_verify_small_sweep_passes(capsys):
     code, out, _ = run(capsys, ["verify", "--n-max", "6", "--exhaustive-d-max", "5"])
     assert code == 0
     assert out.strip().endswith("PASS: all checks agree")
+
+
+@pytest.mark.parametrize("n_max", ["2", "0", "-1"])
+def test_verify_rejects_an_empty_sweep(capsys, n_max):
+    code, out, err = run(capsys, ["verify", "--n-max", n_max])
+    assert code == 1
+    assert out == ""
+    assert "--n-max" in err
 
 
 def test_verify_fully_exhaustive_to_eight(capsys):

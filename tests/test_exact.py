@@ -25,6 +25,7 @@ from invkit import (
     vertex_distance_sum,
     wiener,
 )
+from invkit.exact import _eliminate
 from oracles import (
     brute_force_spanning_trees,
     brute_force_wiener,
@@ -243,6 +244,15 @@ def test_spanning_trees_disconnected_is_zero():
 
 def test_spanning_trees_single_vertex():
     assert spanning_trees(path(1)) == 1
+
+
+@pytest.mark.parametrize("rows", [[[0]], [[1, 2], [2, 1]]])
+@pytest.mark.parametrize("with_rhs", [False, True])
+def test_elimination_rejects_a_matrix_that_is_not_positive_definite(rows, with_rhs):
+    k = len(rows)
+    b = [[int(i == j) for j in range(k)] for i in range(k)] if with_rhs else None
+    with pytest.raises(ValueError, match="not positive definite"):
+        _eliminate([row[:] for row in rows], b)
 
 
 # ---------------------------------------------------------------------------
