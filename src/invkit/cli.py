@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage or parameter error, 2 bad or disconnected
 input graph, 3 verification mismatch (including cross-method disagreement
-under `compute --method all`).
+under `compute --method all`, and an exact result that fails its
+certificate).
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_BAD_INPUT = 2
 EXIT_MISMATCH = 3
+
+EXHAUSTIVE_N_CAP = 16  # verify builds 2^n members for every exhaustive rim length n
 
 
 class _UsageError(Exception):
@@ -353,6 +356,11 @@ def _pool_size(requested: int, cpus: int | None, cases: int) -> int:
 def cmd_verify(args) -> int:
     if args.n_max < 3:
         raise _UsageError(f"--n-max must be >= 3, got {args.n_max}")
+    if min(args.n_max, args.exhaustive_d_max) > EXHAUSTIVE_N_CAP:
+        raise _UsageError(
+            f"exhaustive sweep up to n = {min(args.n_max, args.exhaustive_d_max)} is too large; "
+            f"lower --exhaustive-d-max or --n-max to {EXHAUSTIVE_N_CAP} or less"
+        )
     rng = random.Random(args.seed)
     mismatches: list[str] = []
 
@@ -518,6 +526,9 @@ def main(argv=None) -> int:
     except (_BadInputError, graphs.DisconnectedGraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except ArithmeticError as exc:  # an exact result failed its certificate
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

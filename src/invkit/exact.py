@@ -1,15 +1,29 @@
 """Exact graph invariants over arbitrary-precision arithmetic.
 
 Everything here is integer or `fractions.Fraction` work; no floating point.
-Resistances come from a grounded-Laplacian solve: delete the row and column
-of vertex 0, invert the remaining matrix exactly, and read effective
-resistances off the inverse. The inversion runs entirely over integers:
-one Bareiss fraction-free forward elimination core, `_eliminate`, followed
-by an integer back substitution that produces Y = det(M) * M^{-1}, so the
-lone rational division happens when an entry is finally read out. Y is
-exactly symmetric, so each solved column is stored as a row. The same core,
-run without a right-hand side, gives the spanning-tree count (matrix-tree
-cofactor), which doubles as the common denominator of every resistance.
+Resistances come from a grounded-Laplacian solve in three steps, all over
+the integers:
+
+- Ordering. `graphs.rcm_order` (reverse Cuthill-McKee) lists the vertices so
+  that the Laplacian's nonzeros sit near the diagonal; its last vertex is
+  grounded and the rest give the row order of the grounded Laplacian M. A
+  prism member's bandwidth drops from 2n - 1 to at most 7. The results do not
+  depend on this choice.
+- Elimination. `_eliminate` is the one Bareiss fraction-free core. It works
+  only inside the envelope of M (`_envelope`), and a row whose multiplier
+  is zero is not rescaled at that step but caught up in one exact division
+  when it is next used. Its pivots are the leading principal minors of M;
+  the last is det(M), the spanning-tree count (matrix-tree theorem), which
+  doubles as the common denominator of every resistance.
+- Inverse from U. `_inverse_from_u` reads Y = det(M) * M^{-1} off the
+  echelon form U by an integer Takahashi recurrence, so no right-hand side
+  is eliminated and no back substitution runs. Every division is checked
+  exact, and the lone rational division happens when an entry is read out.
+
+With beta the bandwidth after ordering, the tree count costs O(k beta^2)
+big-integer operations and the dense inverse O(k^2 beta), for k = n - 1.
+`resistance_matrix` certifies its result by Foster's theorem before
+returning it.
 
 Distance-based indices (Wiener, Gutman) use per-vertex BFS and never touch
 the linear algebra.
@@ -20,94 +34,145 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
-from .graphs import DisconnectedGraphError, Graph, degrees, is_connected
+from .graphs import DisconnectedGraphError, Graph, degrees, is_connected, rcm_order
 
 
-def _grounded_laplacian(g: Graph) -> list[list[int]]:
-    """Laplacian of g with row/column 0 deleted, as Python-int rows."""
+def _rcm_positions(g: Graph) -> list[int]:
+    """pos[v]: the index of vertex v in `rcm_order(g)`; index n - 1 is the grounded vertex."""
+    pos = [0] * g.vertex_count
+    for i, v in enumerate(rcm_order(g)):
+        pos[v] = i
+    return pos
+
+
+def _grounded_laplacian(g: Graph, pos: list[int]) -> list[list[int]]:
+    """Laplacian of g with vertex v at row and column pos[v], the vertex at n - 1 deleted."""
     k = g.vertex_count - 1
     m = [[0] * k for _ in range(k)]
-    for i in range(1, g.vertex_count):
-        row = m[i - 1]
-        row[i - 1] = len(g.adjacency[i])
-        for j in g.adjacency[i]:
-            if j >= 1:
-                row[j - 1] = -1
+    for v, i in enumerate(pos):
+        if i < k:
+            row = m[i]
+            row[i] = len(g.adjacency[v])
+            for w in g.adjacency[v]:
+                if pos[w] < k:
+                    row[pos[w]] = -1
     return m
 
 
-def _eliminate(a: list[list[int]], b: list[list[int]] | None = None) -> int:
-    """Bareiss fraction-free forward elimination of `a`, in place; returns det(a).
+def _envelope(a: list[list[int]]) -> list[int]:
+    """hi[i]: the last column that row i of symmetric `a`, or of its echelon form, can fill.
+
+    Column j > i of row i is structurally zero unless row j has a nonzero at
+    or left of column i, so hi[i] = max{j : first nonzero of row j <= i}.
+    Elimination never fills past it.
+    """
+    hi = list(range(len(a)))
+    for j, row in enumerate(a):
+        lead = next(filter(None, row[: j + 1]), 0)
+        if lead:
+            hi[row.index(lead)] = j  # at the column of row j's first nonzero
+    return list(accumulate(hi, max))
+
+
+def _eliminate(a: list[list[int]]) -> list[int]:
+    """Bareiss fraction-free elimination of `a`, in place; returns the pivots.
 
     `a` must be symmetric positive definite, as every grounded Laplacian of a
-    connected graph is: then each leading pivot is positive and no row
-    exchange is ever needed. A non-positive pivot means the precondition
-    failed and raises ValueError. Afterwards the upper triangle of `a` holds
-    the echelon form U, and everything below the diagonal is zero.
+    connected graph is: then pivot s, the leading principal minor of order
+    s + 1, is positive and no row exchange is ever needed; the last pivot is
+    det(a). A non-positive pivot means the precondition failed and raises
+    ValueError. Afterwards the upper triangle of `a` holds the echelon form U,
+    zero right of column hi[i] (see `_envelope`) in row i, and everything
+    below the diagonal is zero.
 
-    If `b` (the identity) is given, every row operation is applied to it too.
-    Row i of b stays zero right of column i, and b[i][col] is still 0 when
-    step `col` reaches row i, so the step touches columns 0..col and b[i][i].
-    A row whose multiplier is zero is only rescaled.
+    Only the envelope is touched. Step s would merely rescale a row whose
+    multiplier is zero by p_s / p_{s-1}; such a row is left as it is, and
+    when it is next used it catches up from the step t it was last brought
+    up to date at, in one rescale by p_{s-1} / p_{t-1}. The skipped factors
+    telescope, and the caught-up entries are minors of `a`, so the floor
+    division is exact.
     """
     k = len(a)
-    prev = 1
-    for col in range(k):
-        pivot = a[col][col]
+    hi = _envelope(a)
+    pivots: list[int] = []
+    done = [0] * k  # row i holds its entries as of step done[i]
+    scale = 1  # p_{s-1}, with p_{-1} = 1
+
+    def catch_up(i: int, s: int) -> None:
+        row = a[i]
+        t = done[i]
+        old = pivots[t - 1] if t else 1
+        for j in range(s, hi[i] + 1):
+            row[j] = row[j] * scale // old
+        done[i] = s
+
+    for s in range(k):
+        if done[s] < s:
+            catch_up(s, s)
+        arow = a[s]
+        pivot = arow[s]
         if pivot <= 0:
             raise ValueError("matrix is not positive definite")
-        arow = a[col]
-        brow = None if b is None else b[col]
-        for i in range(col + 1, k):
+        end = hi[s] + 1
+        for i in range(s + 1, end):
             ai = a[i]
-            m = ai[col]
-            if m:
-                for j in range(col + 1, k):
-                    ai[j] = (pivot * ai[j] - m * arow[j]) // prev
-                ai[col] = 0  # unread from here on; frees the big integer
-            else:
-                for j in range(col + 1, k):
-                    ai[j] = (pivot * ai[j]) // prev
-            if brow is not None:
-                bi = b[i]
-                if m:
-                    for j in range(col + 1):
-                        bi[j] = (pivot * bi[j] - m * brow[j]) // prev
-                else:
-                    for j in range(col):
-                        bi[j] = (pivot * bi[j]) // prev
-                bi[i] = (pivot * bi[i]) // prev
-        prev = pivot
-    return prev
+            if not ai[s]:
+                continue
+            if done[i] < s:
+                catch_up(i, s)
+            m = ai[s]
+            ai[s] = 0  # unread from here on; frees the big integer
+            for j in range(s + 1, end):
+                ai[j] = (pivot * ai[j] - m * arow[j]) // scale
+            for j in range(end, hi[i] + 1):
+                ai[j] = pivot * ai[j] // scale
+            done[i] = s + 1
+        pivots.append(pivot)
+        scale = pivot
+    return pivots
 
 
-def _solve_inverse_scaled(a: list[list[int]]) -> tuple[int, list[list[int]]]:
-    """Return (det, Y) with Y = det * inverse, for symmetric positive definite input.
+def _inverse_from_u(u: list[list[int]], pivots: list[int], hi: list[int]) -> list[list[int]]:
+    """Y = det * M^{-1} from the echelon form U of M alone, as a full symmetric matrix.
 
-    Eliminates [M | I] with `_eliminate`, then solves U y = det * b column by
-    column in exact integers (every intermediate quotient is an integer by
-    Cramer's rule). Y is exactly symmetric, so column c is stored as row c.
-    Consumes `a`.
+    Integer form of the Takahashi, Fagan & Chin (1973) recurrence. With
+    M = L D L^T (L unit lower triangular), U = diag(p) L^T, and
+    L^T M^{-1} = D^{-1} L^{-1} is lower triangular, so for j >= i and
+    p_{-1} = 1:
+
+        p_i Y[i][j] = [i == j] det p_{i-1} - sum_{i < t <= hi[i]} U[i][t] Y[t][j]
+
+    Rows run bottom-up. Each row's entries right of the diagonal come first,
+    as combinations of the finished rows below, and are mirrored into its
+    column; the diagonal then reads them. Y is the adjugate of M, so every
+    division is exact, and one that is not raises ArithmeticError.
     """
-    k = len(a)
-    b = [[0] * k for _ in range(k)]
-    for i in range(k):
-        b[i][i] = 1
-    det = _eliminate(a, b)
-    y = []
-    for c in range(k):
-        col_y = [0] * k
-        for i in range(k - 1, -1, -1):
-            s = det * b[i][c]
-            ai = a[i]
-            for j in range(i + 1, k):
-                s -= ai[j] * col_y[j]
-            q, rem = divmod(s, ai[i])
-            assert rem == 0, "back substitution lost exactness"
-            col_y[i] = q
-        y.append(col_y)
-    return det, y
+    k = len(u)
+    det = pivots[-1]
+    y = [[0] * k for _ in range(k)]
+    for i in range(k - 1, -1, -1):
+        p = pivots[i]
+        end = hi[i] + 1
+        coeffs = u[i][i + 1 : end]
+        acc = [0] * (k - i - 1)  # minus the sum, for every j > i
+        for c, yt in zip(coeffs, y[i + 1 : end]):
+            if c:
+                acc = [s - c * x for s, x in zip(acc, yt[i + 1 :])]
+        yi = y[i]
+        for j, s in enumerate(acc, i + 1):
+            q, r = divmod(s, p)
+            if r:
+                raise ArithmeticError("inverse from U lost exactness")
+            yi[j] = y[j][i] = q
+        s = det * (pivots[i - 1] if i else 1) - sum(map(mul, coeffs, yi[i + 1 : end]))
+        q, r = divmod(s, p)
+        if r:
+            raise ArithmeticError("inverse from U lost exactness")
+        yi[i] = q
+    return y
 
 
 @dataclass
@@ -158,30 +223,40 @@ class InvariantReport:
 def resistance_matrix(g: Graph) -> ResistanceMatrix:
     """Exact effective resistance between every vertex pair.
 
-    Grounds vertex 0, inverts the reduced Laplacian exactly, and assembles
-    r_ij = x_ii + x_jj - 2 x_ij where x is the grounded inverse extended by
-    zeros at vertex 0. Raises DisconnectedGraphError on disconnected input.
+    Grounds the last vertex of `rcm_order`, inverts the reduced Laplacian
+    exactly, and assembles r_ij = x_ii + x_jj - 2 x_ij where x is the grounded
+    inverse extended by zeros at the grounded vertex. Before returning it
+    checks Foster's theorem, sum of r_uv over the edges = n - 1, and raises
+    ArithmeticError if that fails. Raises DisconnectedGraphError on
+    disconnected input.
     """
     n = g.vertex_count
     if n < 2:
         raise ValueError("resistance needs at least 2 vertices")
     if not is_connected(g):
         raise DisconnectedGraphError("resistance distance requires a connected graph")
-    det, x = _solve_inverse_scaled(_grounded_laplacian(g))
-    # zero-extend at vertex 0 in place: x[0][*] = x[*][0] = 0
+    pos = _rcm_positions(g)
+    a = _grounded_laplacian(g, pos)
+    hi = _envelope(a)
+    pivots = _eliminate(a)
+    det = pivots[-1]
+    x = _inverse_from_u(a, pivots, hi)
+    # zero-extend at the grounded vertex, index n - 1
     for row in x:
-        row.insert(0, 0)
-    x.insert(0, [0] * n)
-    diag = [x[i][i] for i in range(n)]
+        row.append(0)
+    x.append([0] * n)
+    diag = [x[p][p] for p in pos]
     num = [[0] * n for _ in range(n)]
     for i in range(n):
         di = diag[i]
-        xi = x[i]
+        xi = x[pos[i]]
         row = num[i]
         for j in range(i + 1, n):
-            val = di + diag[j] - 2 * xi[j]
+            val = di + diag[j] - 2 * xi[pos[j]]
             row[j] = val
             num[j][i] = val
+    if sum(num[u][v] for u, v in g.edges()) != (n - 1) * det:
+        raise ArithmeticError("resistances fail Foster's theorem: the edge sum is not n - 1")
     return ResistanceMatrix(order=n, num=num, den=det)
 
 
@@ -246,7 +321,7 @@ def spanning_trees(g: Graph) -> int:
         return 1
     if not is_connected(g):
         return 0
-    return _eliminate(_grounded_laplacian(g))
+    return _eliminate(_grounded_laplacian(g, _rcm_positions(g)))[-1]
 
 
 def full_report(g: Graph) -> InvariantReport:

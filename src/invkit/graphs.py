@@ -196,6 +196,45 @@ def degrees(g: Graph) -> list[int]:
     return [len(a) for a in g.adjacency]
 
 
+def rcm_order(g: Graph) -> list[int]:
+    """Reverse Cuthill-McKee ordering of the vertices of a connected graph.
+
+    Breadth-first search from a pseudo-peripheral vertex of minimum degree,
+    visiting each vertex's new neighbors by increasing degree (ties by
+    label), then reversed (George & Liu 1981). Listed in this order, the
+    Laplacian keeps its nonzeros near the diagonal: a prism member's
+    bandwidth drops from 2n - 1 in its own labeling to at most 7. Raises
+    DisconnectedGraphError if some vertex is unreachable.
+    """
+    adj = g.adjacency
+    deg = degrees(g)
+
+    def search(root: int) -> tuple[list[int], list[int]]:
+        dist = [-1] * g.vertex_count
+        dist[root] = 0
+        order = [root]
+        for u in order:  # order grows while it is read: a queue that keeps its history
+            fresh = sorted((v for v in adj[u] if dist[v] < 0), key=deg.__getitem__)
+            for v in fresh:
+                dist[v] = dist[u] + 1
+            order += fresh
+        return order, dist
+
+    # pseudo-peripheral root: hop to a minimum-degree vertex of the last BFS
+    # level for as long as that makes the eccentricity grow
+    order, dist = search(min(range(g.vertex_count), key=deg.__getitem__))
+    if len(order) < g.vertex_count:
+        raise DisconnectedGraphError("ordering needs a connected graph")
+    while True:
+        depth = dist[order[-1]]
+        far = min((v for v in order if dist[v] == depth), key=deg.__getitem__)
+        far_order, far_dist = search(far)
+        if far_dist[far_order[-1]] <= depth:
+            break
+        order, dist = far_order, far_dist
+    return order[::-1]
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list interchange format.
 

@@ -169,3 +169,69 @@ def random_connected_graph(rng, n: int, extra_edge_prob: float = 0.3) -> Graph:
             if (u, v) not in present and rng.random() < extra_edge_prob:
                 edges.append((u, v))
     return Graph.from_edges(n, edges)
+
+
+def _dense_grounded_laplacian(g: Graph) -> list[list[int]]:
+    """Laplacian with vertex 0's row and column deleted, natural vertex order."""
+    k = g.vertex_count - 1
+    rows = [[0] * k for _ in range(k)]
+    for i in range(1, g.vertex_count):
+        rows[i - 1][i - 1] = g.degree(i)
+        for j in g.adjacency[i]:
+            if j >= 1:
+                rows[i - 1][j - 1] = -1
+    return rows
+
+
+def _dense_bareiss(a: list[list[int]], b: list[list[int]] | None = None) -> int:
+    """Textbook Bareiss elimination over the whole matrix, every row rescaled at every step.
+
+    Applies each row operation to `b` as well when given; returns det(a).
+    """
+    k = len(a)
+    prev = 1
+    for col in range(k):
+        pivot = a[col][col]
+        assert pivot > 0, "grounded Laplacian of a connected graph is positive definite"
+        for i in range(col + 1, k):
+            m = a[i][col]
+            for j in range(col + 1, k):
+                a[i][j] = (pivot * a[i][j] - m * a[col][j]) // prev
+            a[i][col] = 0
+            if b is not None:
+                for j in range(k):
+                    b[i][j] = (pivot * b[i][j] - m * b[col][j]) // prev
+        prev = pivot
+    return prev
+
+
+def bareiss_tree_count(g: Graph) -> int:
+    """Matrix-tree cofactor by dense Bareiss elimination, grounding vertex 0."""
+    if g.vertex_count == 1:
+        return 1
+    return _dense_bareiss(_dense_grounded_laplacian(g))
+
+
+def bareiss_resistance(g: Graph) -> tuple[list[list[int]], int]:
+    """(num, den) of every effective resistance by eliminating [M | I] and back-substituting.
+
+    M is the Laplacian grounded at vertex 0 in the natural order; den is
+    det(M), and num[i][j] = den * r_ij, from Y = den * M^{-1}.
+    """
+    n = g.vertex_count
+    k = n - 1
+    a = _dense_grounded_laplacian(g)
+    b = [[int(i == j) for j in range(k)] for i in range(k)]
+    det = _dense_bareiss(a, b)
+    x = [[0] * n for _ in range(n)]
+    for c in range(k):
+        col = [0] * k
+        for i in range(k - 1, -1, -1):
+            s = det * b[i][c] - sum(a[i][j] * col[j] for j in range(i + 1, k))
+            q, rem = divmod(s, a[i][i])
+            assert rem == 0, "back substitution lost exactness"
+            col[i] = q
+        for i in range(k):
+            x[i + 1][c + 1] = col[i]
+    num = [[x[i][i] + x[j][j] - 2 * x[i][j] for j in range(n)] for i in range(n)]
+    return num, det

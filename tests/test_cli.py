@@ -274,6 +274,20 @@ def test_verify_rejects_an_empty_sweep(capsys, n_max):
     assert "--n-max" in err
 
 
+@pytest.mark.parametrize("n_max, d_max", [("26", "26"), ("17", "17"), ("40", "20")])
+def test_verify_rejects_an_oversized_exhaustive_sweep(capsys, monkeypatch, n_max, d_max):
+    from invkit import cli
+
+    def must_not_build(*args):
+        raise AssertionError("cases were built before the sweep size was checked")
+
+    monkeypatch.setattr(cli, "_verify_cases", must_not_build)
+    code, out, err = run(capsys, ["verify", "--n-max", n_max, "--exhaustive-d-max", d_max])
+    assert code == 1
+    assert out == ""
+    assert "--exhaustive-d-max" in err
+
+
 def test_verify_fully_exhaustive_to_eight(capsys):
     code, out, _ = run(capsys, ["verify", "--n-max", "8", "--exhaustive-d-max", "8"])
     assert code == 0
@@ -313,6 +327,24 @@ def test_compute_all_flags_disagreement(capsys, monkeypatch):
     code, _, err = run(capsys, ["compute", "--family", "gn", "--n", "4", "--method", "all"])
     assert code == 3
     assert "MISMATCH" in err
+
+
+def test_compute_exits_3_when_the_resistances_fail_their_certificate(capsys, monkeypatch):
+    from invkit import exact
+
+    real = exact._inverse_from_u
+
+    def corrupted(*args):
+        y = real(*args)
+        y[-1][-1] += 1
+        return y
+
+    monkeypatch.setattr(exact, "_inverse_from_u", corrupted)
+    for method in ("exact", "all"):
+        code, out, err = run(capsys, ["compute", "--family", "grn", "--n", "5", "--r", "2", "--method", method])
+        assert code == 3
+        assert out == ""
+        assert "Foster" in err
 
 
 def test_verify_detects_sabotaged_formula(capsys, monkeypatch):

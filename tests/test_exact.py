@@ -25,8 +25,10 @@ from invkit import (
     vertex_distance_sum,
     wiener,
 )
-from invkit.exact import _eliminate
+from invkit import exact
 from oracles import (
+    bareiss_resistance,
+    bareiss_tree_count,
     brute_force_spanning_trees,
     brute_force_wiener,
     cofactor_resistance,
@@ -246,13 +248,90 @@ def test_spanning_trees_single_vertex():
     assert spanning_trees(path(1)) == 1
 
 
-@pytest.mark.parametrize("rows", [[[0]], [[1, 2], [2, 1]]])
-@pytest.mark.parametrize("with_rhs", [False, True])
-def test_elimination_rejects_a_matrix_that_is_not_positive_definite(rows, with_rhs):
-    k = len(rows)
-    b = [[int(i == j) for j in range(k)] for i in range(k)] if with_rhs else None
+# in the last matrix, row 1 at step 0 and row 2 at step 1 have zero
+# multipliers and are left stale; the bad pivot, -1, is read at step 2 only
+# after row 2 catches up
+@pytest.mark.parametrize("rows", [[[0]], [[1, 2], [2, 1]], [[2, 0, 1], [0, 1, 0], [1, 0, 0]]])
+def test_elimination_rejects_a_matrix_that_is_not_positive_definite(rows):
     with pytest.raises(ValueError, match="not positive definite"):
-        _eliminate([row[:] for row in rows], b)
+        exact._eliminate([row[:] for row in rows])
+
+
+def test_elimination_pivots_are_the_leading_principal_minors():
+    m = [[2, 0, 1], [0, 3, -1], [1, -1, 4]]
+    assert exact._eliminate([row[:] for row in m]) == [2, 6, 19]
+
+
+def test_resistances_that_fail_foster_raise(monkeypatch):
+    real = exact._inverse_from_u
+
+    def corrupted(*args):
+        y = real(*args)
+        y[0][0] += 1
+        return y
+
+    monkeypatch.setattr(exact, "_inverse_from_u", corrupted)
+    with pytest.raises(ArithmeticError, match="Foster"):
+        resistance_matrix(cycle(5))
+
+
+# ---------------------------------------------------------------------------
+# the ordered envelope solve against the dense Bareiss oracle
+
+
+def _assert_matches_dense_oracle(g: Graph) -> None:
+    rm = resistance_matrix(g)
+    num, den = bareiss_resistance(g)
+    assert rm.den == den, g.edges()
+    assert rm.num == num, g.edges()
+    assert spanning_trees(g) == bareiss_tree_count(g) == den
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_every_prism_member_matches_the_dense_oracle(n):
+    for mask in range(2**n):
+        deleted = frozenset(i + 1 for i in range(n) if mask >> i & 1)
+        _assert_matches_dense_oracle(prism_family(PrismSpec(n, deleted)))
+
+
+def test_seeded_prism_members_match_the_dense_oracle():
+    rng = random.Random(211)
+    for n in range(9, 21):
+        for r in sorted({0, rng.randint(1, n - 1), n}):
+            _assert_matches_dense_oracle(prism_family(PrismSpec(n, frozenset(rng.sample(range(1, n + 1), r)))))
+
+
+@pytest.mark.parametrize("v", range(2, 41))
+def test_random_graphs_match_the_dense_oracle(v):
+    rng = random.Random(1000 + v)
+    for density in (0.05, 0.2, 0.6):
+        _assert_matches_dense_oracle(random_connected_graph(rng, v, density))
+
+
+def test_bandless_trees_and_complete_graphs_match_the_dense_oracle():
+    rng = random.Random(223)
+    for v in range(2, 13):
+        _assert_matches_dense_oracle(Graph.from_edges(v, combinations(range(v), 2)))
+    for v in range(2, 21):
+        _assert_matches_dense_oracle(path(v))
+        _assert_matches_dense_oracle(Graph.from_edges(v, [(0, i) for i in range(1, v)]))
+        _assert_matches_dense_oracle(random_tree(rng, v))
+
+
+def test_relabeling_permutes_resistances_and_keeps_every_invariant():
+    rng = random.Random(227)
+    cases = [random_connected_graph(rng, rng.randint(2, 30), 0.15) for _ in range(12)]
+    cases += [prism_family(PrismSpec(n, frozenset(rng.sample(range(1, n + 1), n // 2)))) for n in (5, 9, 14)]
+    for g in cases:
+        n = g.vertex_count
+        perm = list(range(n))
+        rng.shuffle(perm)
+        h = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()])
+        rg, rh = resistance_matrix(g), resistance_matrix(h)
+        assert rh.den == rg.den
+        assert all(rh.num[perm[i]][perm[j]] == rg.num[i][j] for i in range(n) for j in range(n))
+        fields = [(rep.kf, rep.kf_star, rep.wiener, rep.gutman, rep.tree_count) for rep in map(full_report, (g, h))]
+        assert fields[0] == fields[1]
 
 
 # ---------------------------------------------------------------------------

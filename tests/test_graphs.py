@@ -19,7 +19,8 @@ from invkit import (
     strong_product,
     wiener,
 )
-from oracles import assert_simple_symmetric, brute_force_spanning_trees, brute_force_wiener
+from invkit.graphs import DisconnectedGraphError, rcm_order
+from oracles import assert_simple_symmetric, brute_force_spanning_trees, brute_force_wiener, random_connected_graph
 
 
 def test_cycle_triangle():
@@ -246,3 +247,28 @@ def test_from_edges_rejects_bad_input():
         Graph.from_edges(3, [(0, 3)])
     with pytest.raises(ValueError):
         Graph.from_edges(0, [])
+
+
+def _bandwidth(g: Graph, order: list[int]) -> int:
+    pos = {v: i for i, v in enumerate(order)}
+    return max(abs(pos[u] - pos[v]) for u, v in g.edges())
+
+
+def test_rcm_order_narrows_every_prism_member_to_bandwidth_seven():
+    rng = random.Random(41)
+    for n in range(3, 60):
+        for r in sorted({0, n // 2, n}):
+            g = prism_family(PrismSpec(n, frozenset(rng.sample(range(1, n + 1), r))))
+            order = rcm_order(g)
+            assert sorted(order) == list(range(g.vertex_count))
+            assert _bandwidth(g, order) <= 7
+            assert _bandwidth(g, list(range(g.vertex_count))) == 2 * n - 1
+
+
+def test_rcm_order_is_a_permutation_and_rejects_disconnected_graphs():
+    rng = random.Random(43)
+    for v in range(1, 30):
+        g = random_connected_graph(rng, v, 0.1)
+        assert sorted(rcm_order(g)) == list(range(v))
+    with pytest.raises(DisconnectedGraphError):
+        rcm_order(Graph.from_edges(4, [(0, 1), (2, 3)]))
