@@ -30,6 +30,7 @@ EXIT_BAD_INPUT = 2
 EXIT_MISMATCH = 3
 
 EXHAUSTIVE_N_CAP = 16  # verify builds 2^n members for every exhaustive rim length n
+N_MAX_CAP = 64  # and about 5(n + 1) sampled ones, each an exact V = 2n solve, for every larger n
 
 
 class _UsageError(Exception):
@@ -258,13 +259,16 @@ def cmd_compute(args) -> int:
 # ---------------------------------------------------------------------------
 # table
 
-TABLE1_RANGE = range(3, 12)
-TABLE2_RANGE = range(3, 16)
-
 _COLUMN_FUNCS = {
     "kf": lambda n: format_fraction(closed_form.kf_gn(n), 2),
     "tau": lambda n: str(closed_form.tau_gn(n)),
     "kfstar": lambda n: format_fraction(closed_form.kf_star_gn(n), 2),
+}
+
+# --table N: (rim lengths, column keys, header line)
+_TABLES = {
+    1: (range(3, 12), ("kf", "tau"), "graph,kf,tau"),
+    2: (range(3, 16), ("kfstar",), "graph,kf_star"),
 }
 
 
@@ -283,26 +287,19 @@ def _parse_range(text: str) -> range:
 
 def cmd_table(args) -> int:
     if args.table is not None:
-        if args.table == 1:
-            print("graph,kf,tau")
-            for n in TABLE1_RANGE:
-                print(f"G_{n},{format_fraction(closed_form.kf_gn(n), 2)},{closed_form.tau_gn(n)}")
-        else:
-            print("graph,kf_star")
-            for n in TABLE2_RANGE:
-                print(f"G_{n},{format_fraction(closed_form.kf_star_gn(n), 2)}")
-        return EXIT_OK
-
-    if args.family != "gn":
-        raise _UsageError("table mode supports --family gn")
-    if args.range is None:
-        raise _UsageError("give --table 1|2 or --family gn --range A..B")
-    ns = _parse_range(args.range)
-    columns = [c.strip() for c in (args.columns or "kf,tau").split(",") if c.strip()]
-    unknown = [c for c in columns if c not in _COLUMN_FUNCS]
-    if unknown:
-        raise _UsageError(f"unknown columns {unknown}; choose from kf, tau, kfstar")
-    print("graph," + ",".join(columns))
+        ns, columns, header = _TABLES[args.table]
+    else:
+        if args.family != "gn":
+            raise _UsageError("table mode supports --family gn")
+        if args.range is None:
+            raise _UsageError("give --table 1|2 or --family gn --range A..B")
+        ns = _parse_range(args.range)
+        columns = [c.strip() for c in (args.columns or "kf,tau").split(",") if c.strip()]
+        unknown = [c for c in columns if c not in _COLUMN_FUNCS]
+        if unknown:
+            raise _UsageError(f"unknown columns {unknown}; choose from kf, tau, kfstar")
+        header = "graph," + ",".join(columns)
+    print(header)
     for n in ns:
         print(f"G_{n}," + ",".join(_COLUMN_FUNCS[c](n) for c in columns))
     return EXIT_OK
@@ -356,6 +353,10 @@ def _pool_size(requested: int, cpus: int | None, cases: int) -> int:
 def cmd_verify(args) -> int:
     if args.n_max < 3:
         raise _UsageError(f"--n-max must be >= 3, got {args.n_max}")
+    if args.n_max > N_MAX_CAP:
+        raise _UsageError(
+            f"sampled sweep up to n = {args.n_max} is too large; lower --n-max to {N_MAX_CAP} or less"
+        )
     if min(args.n_max, args.exhaustive_d_max) > EXHAUSTIVE_N_CAP:
         raise _UsageError(
             f"exhaustive sweep up to n = {min(args.n_max, args.exhaustive_d_max)} is too large; "

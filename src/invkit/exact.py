@@ -8,7 +8,8 @@ the integers:
   that the Laplacian's nonzeros sit near the diagonal; its last vertex is
   grounded and the rest give the row order of the grounded Laplacian M. A
   prism member's bandwidth drops from 2n - 1 to at most 7. The results do not
-  depend on this choice.
+  depend on this choice. It is also the solve's connectivity check: it raises
+  DisconnectedGraphError when its search misses a vertex.
 - Elimination. `_eliminate` is the one Bareiss fraction-free core. It works
   only inside the envelope of M (`_envelope`), and a row whose multiplier
   is zero is not rescaled at that step but caught up in one exact division
@@ -25,19 +26,18 @@ big-integer operations and the dense inverse O(k^2 beta), for k = n - 1.
 `resistance_matrix` certifies its result by Foster's theorem before
 returning it.
 
-Distance-based indices (Wiener, Gutman) use per-vertex BFS and never touch
-the linear algebra.
+Distance-based indices (Wiener, Gutman) run the package's one BFS,
+`graphs._bfs`, from every vertex and never touch the linear algebra.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
-from .graphs import DisconnectedGraphError, Graph, degrees, is_connected, rcm_order
+from .graphs import DisconnectedGraphError, Graph, _bfs, degrees, is_connected, rcm_order
 
 
 def _rcm_positions(g: Graph) -> list[int]:
@@ -77,7 +77,7 @@ def _envelope(a: list[list[int]]) -> list[int]:
     return list(accumulate(hi, max))
 
 
-def _eliminate(a: list[list[int]]) -> list[int]:
+def _eliminate(a: list[list[int]], hi: list[int]) -> list[int]:
     """Bareiss fraction-free elimination of `a`, in place; returns the pivots.
 
     `a` must be symmetric positive definite, as every grounded Laplacian of a
@@ -85,7 +85,7 @@ def _eliminate(a: list[list[int]]) -> list[int]:
     s + 1, is positive and no row exchange is ever needed; the last pivot is
     det(a). A non-positive pivot means the precondition failed and raises
     ValueError. Afterwards the upper triangle of `a` holds the echelon form U,
-    zero right of column hi[i] (see `_envelope`) in row i, and everything
+    zero right of column hi[i] in row i (`hi` is `_envelope(a)`), and everything
     below the diagonal is zero.
 
     Only the envelope is touched. Step s would merely rescale a row whose
@@ -96,7 +96,6 @@ def _eliminate(a: list[list[int]]) -> list[int]:
     division is exact.
     """
     k = len(a)
-    hi = _envelope(a)
     pivots: list[int] = []
     done = [0] * k  # row i holds its entries as of step done[i]
     scale = 1  # p_{s-1}, with p_{-1} = 1
@@ -233,12 +232,10 @@ def resistance_matrix(g: Graph) -> ResistanceMatrix:
     n = g.vertex_count
     if n < 2:
         raise ValueError("resistance needs at least 2 vertices")
-    if not is_connected(g):
-        raise DisconnectedGraphError("resistance distance requires a connected graph")
-    pos = _rcm_positions(g)
+    pos = _rcm_positions(g)  # rcm_order is the connectivity check
     a = _grounded_laplacian(g, pos)
     hi = _envelope(a)
-    pivots = _eliminate(a)
+    pivots = _eliminate(a, hi)
     det = pivots[-1]
     x = _inverse_from_u(a, pivots, hi)
     # zero-extend at the grounded vertex, index n - 1
@@ -271,17 +268,8 @@ def mult_deg_kirchhoff(g: Graph) -> Fraction:
 
 
 def _bfs_distances(g: Graph, source: int) -> list[int]:
-    dist = [-1] * g.vertex_count
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v in g.adjacency[u]:
-            if dist[v] < 0:
-                dist[v] = du + 1
-                queue.append(v)
-    if min(dist) < 0:
+    order, dist = _bfs(g.adjacency, source)
+    if len(order) < g.vertex_count:
         raise DisconnectedGraphError("distance is undefined on a disconnected graph")
     return dist
 
@@ -321,7 +309,8 @@ def spanning_trees(g: Graph) -> int:
         return 1
     if not is_connected(g):
         return 0
-    return _eliminate(_grounded_laplacian(g, _rcm_positions(g)))[-1]
+    a = _grounded_laplacian(g, _rcm_positions(g))
+    return _eliminate(a, _envelope(a))[-1]
 
 
 def full_report(g: Graph) -> InvariantReport:

@@ -9,11 +9,13 @@ The doubled-cycle family produced by `prism_family` places the lower rim on
 vertices 0..n-1 and the upper rim on n..2n-1, with vertex n+i sitting
 directly above vertex i. `PrismSpec.deleted` uses 1-based rim positions, so
 deleting position i removes the vertical edge {i-1, n+i-1}.
+
+Every breadth-first search in the package is `_bfs`: `is_connected`,
+`rcm_order` and the distance indices of `exact` all run on it.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 
@@ -175,20 +177,27 @@ def rim_swap(n: int) -> tuple[int, ...]:
     return tuple(range(n, 2 * n)) + tuple(range(n))
 
 
+def _bfs(adjacency, root: int) -> tuple[list[int], list[int]]:
+    """Breadth-first search from `root`: (visiting order, hop distance of every vertex).
+
+    Neighbors are visited in the order `adjacency` lists them. Vertices the
+    search does not reach are missing from the order and have distance -1.
+    """
+    dist = [-1] * len(adjacency)
+    dist[root] = 0
+    order = [root]
+    for u in order:  # order grows while it is read: a queue that keeps its history
+        du = dist[u] + 1
+        for v in adjacency[u]:
+            if dist[v] < 0:
+                dist[v] = du
+                order.append(v)
+    return order, dist
+
+
 def is_connected(g: Graph) -> bool:
     """BFS reachability of every vertex from vertex 0."""
-    seen = [False] * g.vertex_count
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for v in g.adjacency[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                queue.append(v)
-    return count == g.vertex_count
+    return len(_bfs(g.adjacency, 0)[0]) == g.vertex_count
 
 
 def degrees(g: Graph) -> list[int]:
@@ -204,31 +213,22 @@ def rcm_order(g: Graph) -> list[int]:
     label), then reversed (George & Liu 1981). Listed in this order, the
     Laplacian keeps its nonzeros near the diagonal: a prism member's
     bandwidth drops from 2n - 1 in its own labeling to at most 7. Raises
-    DisconnectedGraphError if some vertex is unreachable.
+    DisconnectedGraphError if some vertex is unreachable; this is the
+    connectivity check of the exact resistance solve.
     """
-    adj = g.adjacency
     deg = degrees(g)
-
-    def search(root: int) -> tuple[list[int], list[int]]:
-        dist = [-1] * g.vertex_count
-        dist[root] = 0
-        order = [root]
-        for u in order:  # order grows while it is read: a queue that keeps its history
-            fresh = sorted((v for v in adj[u] if dist[v] < 0), key=deg.__getitem__)
-            for v in fresh:
-                dist[v] = dist[u] + 1
-            order += fresh
-        return order, dist
+    # neighbor tuples ascend by label and sorted() is stable: ties go by label
+    by_degree = [sorted(a, key=deg.__getitem__) for a in g.adjacency]
 
     # pseudo-peripheral root: hop to a minimum-degree vertex of the last BFS
     # level for as long as that makes the eccentricity grow
-    order, dist = search(min(range(g.vertex_count), key=deg.__getitem__))
+    order, dist = _bfs(by_degree, min(range(g.vertex_count), key=deg.__getitem__))
     if len(order) < g.vertex_count:
-        raise DisconnectedGraphError("ordering needs a connected graph")
+        raise DisconnectedGraphError("graph is disconnected")
     while True:
         depth = dist[order[-1]]
         far = min((v for v in order if dist[v] == depth), key=deg.__getitem__)
-        far_order, far_dist = search(far)
+        far_order, far_dist = _bfs(by_degree, far)
         if far_dist[far_order[-1]] <= depth:
             break
         order, dist = far_order, far_dist

@@ -235,3 +235,36 @@ def bareiss_resistance(g: Graph) -> tuple[list[list[int]], int]:
             x[i + 1][c + 1] = col[i]
     num = [[x[i][i] + x[j][j] - 2 * x[i][j] for j in range(n)] for i in range(n)]
     return num, det
+
+
+def reference_rcm_order(g: Graph) -> list[int]:
+    """Reverse Cuthill-McKee order of a connected graph, sorting new neighbors per visited vertex.
+
+    The same pseudo-peripheral root and tie-breaking as `graphs.rcm_order`
+    (degree first, then label), which sorts every neighbor list once up front
+    instead.
+    """
+    adj = g.adjacency
+    deg = [len(a) for a in adj]
+
+    def search(root: int) -> tuple[list[int], list[int]]:
+        dist = [-1] * g.vertex_count
+        dist[root] = 0
+        order = [root]
+        for u in order:
+            fresh = sorted((v for v in adj[u] if dist[v] < 0), key=deg.__getitem__)
+            for v in fresh:
+                dist[v] = dist[u] + 1
+            order += fresh
+        return order, dist
+
+    order, dist = search(min(range(g.vertex_count), key=deg.__getitem__))
+    assert len(order) == g.vertex_count, "graph is disconnected"
+    while True:
+        depth = dist[order[-1]]
+        far = min((v for v in order if dist[v] == depth), key=deg.__getitem__)
+        far_order, far_dist = search(far)
+        if far_dist[far_order[-1]] <= depth:
+            break
+        order, dist = far_order, far_dist
+    return order[::-1]

@@ -288,6 +288,35 @@ def test_verify_rejects_an_oversized_exhaustive_sweep(capsys, monkeypatch, n_max
     assert "--exhaustive-d-max" in err
 
 
+@pytest.mark.parametrize("n_max", ["65", "300"])
+def test_verify_rejects_an_oversized_sampled_sweep(capsys, monkeypatch, n_max):
+    from invkit import cli
+
+    def must_not_build(*args):
+        raise AssertionError("cases were built before the sweep size was checked")
+
+    monkeypatch.setattr(cli, "_verify_cases", must_not_build)
+    code, out, err = run(capsys, ["verify", "--n-max", n_max])
+    assert code == 1
+    assert out == ""
+    assert "--n-max" in err
+
+
+def test_verify_accepts_the_largest_sampled_sweep(monkeypatch):
+    from invkit import cli
+
+    class Reached(Exception):
+        pass
+
+    def reached(n_max, exhaustive_max, rng):
+        raise Reached(n_max, exhaustive_max)
+
+    monkeypatch.setattr(cli, "_verify_cases", reached)
+    with pytest.raises(Reached) as info:
+        cli.main(["verify", "--n-max", "64"])
+    assert info.value.args == (64, 8)
+
+
 def test_verify_fully_exhaustive_to_eight(capsys):
     code, out, _ = run(capsys, ["verify", "--n-max", "8", "--exhaustive-d-max", "8"])
     assert code == 0

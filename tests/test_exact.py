@@ -254,12 +254,12 @@ def test_spanning_trees_single_vertex():
 @pytest.mark.parametrize("rows", [[[0]], [[1, 2], [2, 1]], [[2, 0, 1], [0, 1, 0], [1, 0, 0]]])
 def test_elimination_rejects_a_matrix_that_is_not_positive_definite(rows):
     with pytest.raises(ValueError, match="not positive definite"):
-        exact._eliminate([row[:] for row in rows])
+        exact._eliminate([row[:] for row in rows], exact._envelope(rows))
 
 
 def test_elimination_pivots_are_the_leading_principal_minors():
     m = [[2, 0, 1], [0, 3, -1], [1, -1, 4]]
-    assert exact._eliminate([row[:] for row in m]) == [2, 6, 19]
+    assert exact._eliminate([row[:] for row in m], exact._envelope(m)) == [2, 6, 19]
 
 
 def test_resistances_that_fail_foster_raise(monkeypatch):

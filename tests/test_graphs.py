@@ -20,7 +20,13 @@ from invkit import (
     wiener,
 )
 from invkit.graphs import DisconnectedGraphError, rcm_order
-from oracles import assert_simple_symmetric, brute_force_spanning_trees, brute_force_wiener, random_connected_graph
+from oracles import (
+    assert_simple_symmetric,
+    brute_force_spanning_trees,
+    brute_force_wiener,
+    random_connected_graph,
+    reference_rcm_order,
+)
 
 
 def test_cycle_triangle():
@@ -272,3 +278,15 @@ def test_rcm_order_is_a_permutation_and_rejects_disconnected_graphs():
         assert sorted(rcm_order(g)) == list(range(v))
     with pytest.raises(DisconnectedGraphError):
         rcm_order(Graph.from_edges(4, [(0, 1), (2, 3)]))
+
+
+def test_rcm_order_matches_the_reference_order_exactly():
+    rng = random.Random(47)
+    for n in range(3, 60):
+        for r in sorted({0, n // 2, n}):
+            g = prism_family(PrismSpec(n, frozenset(rng.sample(range(1, n + 1), r))))
+            assert rcm_order(g) == reference_rcm_order(g)
+    for v in range(1, 121):
+        for p in (0.0, 0.02, 0.1, 0.3):  # p = 0 gives a tree
+            g = random_connected_graph(rng, v, p)
+            assert rcm_order(g) == reference_rcm_order(g)
