@@ -23,14 +23,12 @@ from .closed_form import (
 from .exact import (
     InvariantReport,
     ResistanceMatrix,
-    distance_matrix,
     full_report,
     gutman,
     kirchhoff_index,
     mult_deg_kirchhoff,
     resistance_matrix,
     spanning_trees,
-    vertex_distance_sum,
     wiener,
 )
 from .graphs import (
@@ -50,7 +48,6 @@ from .graphs import (
 )
 from .spectral import (
     DecompositionError,
-    SpectrumSplit,
     TreeCount,
     cycle_spectrum,
     eigenvalues_sym,
@@ -73,12 +70,10 @@ __all__ = [
     "InvariantReport",
     "PrismSpec",
     "ResistanceMatrix",
-    "SpectrumSplit",
     "TreeCount",
     "cycle",
     "cycle_spectrum",
     "degrees",
-    "distance_matrix",
     "eigenvalues_sym",
     "family_report",
     "full_report",
@@ -108,7 +103,6 @@ __all__ = [
     "strong_product",
     "tau_gn",
     "tau_grn",
-    "vertex_distance_sum",
     "wiener",
     "wiener_gn",
     "wiener_grn",

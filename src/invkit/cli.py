@@ -4,6 +4,10 @@ Exit codes: 0 success, 1 usage or parameter error, 2 bad or disconnected
 input graph, 3 verification mismatch (including cross-method disagreement
 under `compute --method all`, and an exact result that fails its
 certificate).
+
+`verify` walks one list of prism members; the first member of each (n, r)
+with r in {0, n // 2, n} also runs `spectral.prism_split_disagreements`, so
+this module needs no numpy of its own.
 """
 
 from __future__ import annotations
@@ -15,14 +19,12 @@ import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from fractions import Fraction
-
-import numpy as np
 
 from . import closed_form, exact, graphs, spectral
 
 SPECTRAL_RTOL = 1e-6  # exact-vs-spectral agreement budget
-SPECTRUM_ATOL = 1e-8  # per-entry eigenvalue multiset tolerance
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -39,6 +41,20 @@ class _UsageError(Exception):
 
 class _BadInputError(Exception):
     pass
+
+
+@contextmanager
+def _full_integers():
+    """Print integers of any length: the interpreter's digit limit is for parsing input, not output."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # before Python 3.10.7 there is no limit
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def format_fraction(q, places: int = 2) -> str:
@@ -114,12 +130,14 @@ def _load_input_graph(path: str) -> graphs.Graph:
     except OSError as exc:
         raise _BadInputError(f"cannot read {path}: {exc}") from None
     try:
-        g = graphs.parse_edge_list(text)
+        n, edges = graphs._read_edge_list(text)
     except ValueError as exc:  # EdgeListParseError included
         raise _BadInputError(f"{path}: {exc}") from None
-    if g.vertex_count < 2:
-        raise _BadInputError(f"{path}: need at least 2 vertices, got {g.vertex_count}")
-    return g
+    if n < 2:
+        raise _BadInputError(f"{path}: need at least 2 vertices, got {n}")
+    if len(edges) < n - 1:  # refused before the graph allocates anything for its n vertices
+        raise _BadInputError("input graph is disconnected")
+    return graphs.Graph.from_edges(n, edges)
 
 
 def _report_fields(rep: exact.InvariantReport | closed_form.FamilyFormulaResult) -> dict:
@@ -138,12 +156,7 @@ def _disagreements(got: dict, expected: dict) -> list[tuple[str, object, object]
 def _closed_form_fields(family: str, n: int, r: int | None) -> dict:
     if family == "cycle":
         return {"kf": closed_form.kf_cycle(n), "kf_star": None, "tau": None, "wiener": None, "gutman": None}
-    if family not in ("gn", "grn"):
-        raise _UsageError(f"closed-form method is not available for family {family!r}")
-    fields = _report_fields(closed_form.family_report(n, r))
-    if family == "grn":
-        fields.update(kf_star=None, gutman=None)
-    return fields
+    return _report_fields(closed_form.family_report(n, r))
 
 
 def _spectral_fields(g: graphs.Graph) -> tuple[float, float, spectral.TreeCount]:
@@ -164,6 +177,7 @@ def _rel_err(approx: float, truth) -> float:
     return abs(approx - t) / abs(t)
 
 
+@_full_integers()
 def _emit_record(record: dict, fmt: str) -> None:
     keys = ("family", "n", "r", "kf", "kf_star", "tau", "wiener", "gutman", "method")
     if fmt == "json":
@@ -300,8 +314,9 @@ def cmd_table(args) -> int:
             raise _UsageError(f"unknown columns {unknown}; choose from kf, tau, kfstar")
         header = "graph," + ",".join(columns)
     print(header)
-    for n in ns:
-        print(f"G_{n}," + ",".join(_COLUMN_FUNCS[c](n) for c in columns))
+    with _full_integers():
+        for n in ns:
+            print(f"G_{n}," + ",".join(_COLUMN_FUNCS[c](n) for c in columns))
     return EXIT_OK
 
 
@@ -309,10 +324,15 @@ def cmd_table(args) -> int:
 # verify
 
 
-def _member_report(case: tuple[int, tuple[int, ...]]) -> exact.InvariantReport:
-    """Exact report of one deleted-edge family member (worker-safe)."""
-    n, dset = case
-    return exact.full_report(graphs.prism_family(graphs.PrismSpec(n, frozenset(dset))))
+def _member_disagreements(job: tuple[int, tuple[int, ...], bool]) -> list[tuple[str, object, object]]:
+    """(invariant, expected, got) for each check a prism member fails: exact vs closed form, split if flagged."""
+    n, dset, split = job
+    spec = graphs.PrismSpec(n, frozenset(dset))
+    rep = exact.full_report(graphs.prism_family(spec))
+    found = _disagreements(_report_fields(rep), _report_fields(closed_form.family_report(n, spec.r)))
+    if split:
+        found += spectral.prism_split_disagreements(spec)
+    return found
 
 
 def _verify_cases(n_max: int, exhaustive_max: int, rng: random.Random):
@@ -362,68 +382,33 @@ def cmd_verify(args) -> int:
             f"exhaustive sweep up to n = {min(args.n_max, args.exhaustive_d_max)} is too large; "
             f"lower --exhaustive-d-max or --n-max to {EXHAUSTIVE_N_CAP} or less"
         )
-    rng = random.Random(args.seed)
-    mismatches: list[str] = []
-
-    # closed form vs exact oracle: every deletion subset up to the cutoff,
-    # sampled above it; the r = 0 members also check the weighted indices
-    cases = _verify_cases(args.n_max, args.exhaustive_d_max, rng)
-    workers = _pool_size(_thread_count(), os.cpu_count(), len(cases))
+    # closed form vs exact oracle: every deletion subset up to the cutoff, sampled
+    # above it; r = 0 members also check the weighted indices, and the first
+    # member of each (n, r) with r in {0, n // 2, n} checks the spectrum split
+    cases = _verify_cases(args.n_max, args.exhaustive_d_max, random.Random(args.seed))
+    seen: set[tuple[int, int]] = set()
+    jobs = []
+    for n, dset in cases:
+        jobs.append((n, dset, len(dset) in (0, n // 2, n) and (n, len(dset)) not in seen))
+        seen.add((n, len(dset)))
+    workers = _pool_size(_thread_count(), os.cpu_count(), len(jobs))
     if workers > 1:
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                reports = list(pool.map(_member_report, cases, chunksize=16))
+                results = list(pool.map(_member_disagreements, jobs, chunksize=16))
         except OSError:
-            reports = [_member_report(c) for c in cases]
+            results = [_member_disagreements(j) for j in jobs]
     else:
-        reports = [_member_report(c) for c in cases]
-    intact_checks = 0
-    for (n, dset), rep in zip(cases, reports):
-        expected = _report_fields(closed_form.family_report(n, len(dset)))
-        if not dset:
-            intact_checks += len(expected)
-        for name, want, got in _disagreements(_report_fields(rep), expected):
-            mismatches.append(f"n={n} D={dset} invariant={name} expected={want} got={got}")
-    print(f"intact family, closed form vs exact: {intact_checks} checks")
+        results = [_member_disagreements(j) for j in jobs]
+    mismatches = [
+        f"n={n} D={dset} invariant={name} expected={want} got={got}"
+        for (n, dset, _), found in zip(jobs, results)
+        for name, want, got in found
+    ]
+    intact = sum(1 for _, dset in cases if not dset)
+    print(f"intact family, closed form vs exact: {5 * intact} checks")  # all five fields
     print(f"deleted-edge sweep: {len(cases)} members, 3 invariants each")
-
-    # spectrum split checks
-    split_checks = 0
-    for n in range(3, args.n_max + 1):
-        for r in sorted({0, n // 2, n}):
-            dset = frozenset(rng.sample(range(1, n + 1), r))
-            g = graphs.prism_family(graphs.PrismSpec(n, dset))
-            split = spectral.involution_split(g, graphs.rim_swap(n))
-            full = spectral.eigenvalues_sym(spectral.laplacian(g))
-            where = f"n={n} D={tuple(sorted(dset))}"
-            gap = float(np.max(np.abs(split.combined() - full)))
-            if gap > SPECTRUM_ATOL:
-                mismatches.append(
-                    f"{where} invariant=split-spectrum expected=gap<={SPECTRUM_ATOL} got={gap:.3e}"
-                )
-            predicted = np.sort(
-                np.concatenate([2.0 * spectral.cycle_spectrum(n), np.diag(split.block_s)])
-            )
-            gap = float(np.max(np.abs(predicted - full)))
-            if gap > SPECTRUM_ATOL:
-                mismatches.append(
-                    f"{where} invariant=predicted-spectrum expected=gap<={SPECTRUM_ATOL} got={gap:.3e}"
-                )
-            if not np.array_equal(split.block_a, 2 * spectral.laplacian(graphs.cycle(n))):
-                mismatches.append(
-                    f"{where} invariant=block-a expected=2*cycle-laplacian got={split.block_a.tolist()}"
-                )
-            diag = np.diag(split.block_s)
-            if not (
-                np.array_equal(split.block_s, np.diag(diag))
-                and sorted(set(diag.tolist())) in ([4], [6], [4, 6])
-                and int(np.count_nonzero(diag == 4)) == r
-            ):
-                mismatches.append(
-                    f"{where} invariant=block-s expected=diag of 4s({r}) and 6s got={diag.tolist()}"
-                )
-            split_checks += 1
-    print(f"spectrum split: {split_checks} members")
+    print(f"spectrum split: {sum(split for _, _, split in jobs)} members")
 
     if mismatches:
         for m in mismatches:

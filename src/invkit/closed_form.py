@@ -101,7 +101,6 @@ class FamilyFormulaResult:
     kf: Fraction
     tau: int
     wiener: int
-    ratio_kf_wiener: Fraction
     kf_star: Fraction | None = None
     gutman: int | None = None
 
@@ -109,14 +108,12 @@ class FamilyFormulaResult:
 def family_report(n: int, r: int = 0) -> FamilyFormulaResult:
     """Evaluate every applicable closed form at (n, r)."""
     _check_nr(n, r)
-    ratio, _ = ratio_report(n, r)
     return FamilyFormulaResult(
         n=n,
         r=r,
         kf=kf_grn(n, r),
         tau=tau_grn(n, r),
         wiener=wiener_grn(n, r),
-        ratio_kf_wiener=ratio,
         kf_star=kf_star_gn(n) if r == 0 else None,
         gutman=gutman_gn(n) if r == 0 else None,
     )

@@ -32,7 +32,7 @@ Distance-based indices (Wiener, Gutman) run the package's one BFS,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
@@ -207,16 +207,13 @@ class ResistanceMatrix:
 
 @dataclass
 class InvariantReport:
-    """All five invariants of one graph, with a method tag per field."""
+    """All five invariants of one graph, exact."""
 
     kf: Fraction
     kf_star: Fraction
     wiener: int
     gutman: int
     tree_count: int
-    methods: dict[str, str] = field(
-        default_factory=lambda: {k: "exact" for k in ("kf", "kf_star", "wiener", "gutman", "tree_count")}
-    )
 
 
 def resistance_matrix(g: Graph) -> ResistanceMatrix:
@@ -272,16 +269,6 @@ def _bfs_distances(g: Graph, source: int) -> list[int]:
     if len(order) < g.vertex_count:
         raise DisconnectedGraphError("distance is undefined on a disconnected graph")
     return dist
-
-
-def distance_matrix(g: Graph) -> list[list[int]]:
-    """All-pairs shortest-path distances via BFS from every vertex."""
-    return [_bfs_distances(g, s) for s in range(g.vertex_count)]
-
-
-def vertex_distance_sum(g: Graph, i: int) -> int:
-    """Sum of distances from vertex i to every vertex."""
-    return sum(_bfs_distances(g, i))
 
 
 def wiener(g: Graph) -> int:

@@ -242,6 +242,11 @@ def parse_edge_list(text: str) -> Graph:
     lines is "u v" with 0 <= u, v < n and u != v. '#' starts a comment line.
     Raises EdgeListParseError with the offending line number on any defect.
     """
+    return Graph.from_edges(*_read_edge_list(text))
+
+
+def _read_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """Validate edge-list text line by line; (n, edges), with nothing yet allocated per vertex."""
     header = None
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
@@ -286,7 +291,7 @@ def parse_edge_list(text: str) -> Graph:
             len(text.splitlines()) or 1,
             f"header declared {expected} edges, found {len(edges)}",
         )
-    return Graph.from_edges(header[0], edges)
+    return header[0], edges
 
 
 def serialize_edge_list(g: Graph) -> str:

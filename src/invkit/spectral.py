@@ -8,7 +8,7 @@ block_s = L11 - L12. The orthogonal change of basis behind this is never
 materialized; the blocks are read straight off the vertex partition.
 
 Spectral values computed here are floating-point cross-checks. Authoritative
-results live in `invkit.exact`.
+results live in `invkit.exact`. This is the only module that imports numpy.
 """
 
 from __future__ import annotations
@@ -18,11 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DisconnectedGraphError, Graph, degrees
+from .graphs import DisconnectedGraphError, Graph, PrismSpec, cycle, degrees, prism_family, rim_swap
 
 # an eigenvalue counts as "the" zero of a connected Laplacian below this,
 # scaled by max(1, largest eigenvalue)
 ZERO_EIGENVALUE_RTOL = 1e-8
+SPECTRUM_ATOL = 1e-8  # per-entry eigenvalue multiset tolerance of the prism split checks
 
 
 class DecompositionError(ValueError):
@@ -110,6 +111,35 @@ def involution_split(g: Graph, sigma, normalized: bool = False) -> SpectrumSplit
         eigs_a=eigenvalues_sym(block_a),
         eigs_s=eigenvalues_sym(block_s),
     )
+
+
+def prism_split_disagreements(spec: PrismSpec) -> list[tuple[str, object, object]]:
+    """(check, expected, got) for every rim-swap split check the prism member fails.
+
+    The paper's split: block_a = 2 L(C_n), block_s = diag(4 at each cut
+    vertical, 6 elsewhere), so the spectrum is twice that of C_n plus those
+    n values. "block-a" and "block-s" compare the blocks entry by entry;
+    "split-spectrum" and "predicted-spectrum" compare the full spectrum
+    with the blocks' spectra and with that prediction.
+    """
+    n = spec.n
+    g = prism_family(spec)
+    split = involution_split(g, rim_swap(n))
+    full = eigenvalues_sym(laplacian(g))
+    rim = [4 if i in spec.deleted else 6 for i in range(1, n + 1)]
+    found: list[tuple[str, object, object]] = []
+    for check, values in (
+        ("split-spectrum", split.combined()),
+        ("predicted-spectrum", np.sort(np.concatenate([2.0 * cycle_spectrum(n), rim]))),
+    ):
+        gap = float(np.max(np.abs(values - full)))
+        if gap > SPECTRUM_ATOL:
+            found.append((check, f"gap<={SPECTRUM_ATOL}", f"{gap:.3e}"))
+    if not np.array_equal(split.block_a, 2 * laplacian(cycle(n))):
+        found.append(("block-a", "2*cycle-laplacian", split.block_a.tolist()))
+    if not np.array_equal(split.block_s, np.diag(rim)):
+        found.append(("block-s", f"diag{rim}", split.block_s.tolist()))
+    return found
 
 
 def cycle_spectrum(n: int) -> np.ndarray:

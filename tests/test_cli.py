@@ -1,12 +1,14 @@
 """CLI contract: output formats, exit codes, golden tables, determinism."""
 
 import json
+import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from invkit import PrismSpec, prism_family, serialize_edge_list
+from invkit import PrismSpec, prism_family, serialize_edge_list, tau_gn
 from invkit.cli import format_fraction, main, render_exact
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -151,6 +153,29 @@ def test_compute_disconnected_input_exits_2(tmp_path, capsys):
             assert message in err
 
 
+def test_compute_refuses_too_few_edges_before_building_the_graph(tmp_path, capsys, monkeypatch):
+    from invkit import graphs
+
+    real = graphs.Graph.from_edges.__func__
+
+    def small_only(cls, vertex_count, edges):
+        assert vertex_count <= 100, f"asked to build a graph on {vertex_count} vertices"
+        return real(cls, vertex_count, edges)
+
+    monkeypatch.setattr(graphs.Graph, "from_edges", classmethod(small_only))
+    edge_file = tmp_path / "sparse.edges"
+    for text in ("1000000000 0\n", "1000000000 2\n0 1\n1 2\n", "5 3\n0 1\n1 2\n3 4\n"):
+        edge_file.write_text(text)
+        for method in ("exact", "spectral", "closed-form", "all"):
+            code, out, err = run(capsys, ["compute", "--input", str(edge_file), "--method", method])
+            assert (code, out, err) == (2, "", "error: input graph is disconnected\n")
+    # every line is still validated first, so parse errors keep their messages
+    edge_file.write_text("1000000000 1\n0 0\n")
+    code, out, err = run(capsys, ["compute", "--input", str(edge_file)])
+    assert (code, out) == (2, "")
+    assert "line 2: self-loop" in err
+
+
 def test_compute_malformed_input_exits_2(tmp_path, capsys):
     edge_file = tmp_path / "bad.edges"
     edge_file.write_text("2 1\n0 0\n")
@@ -162,6 +187,60 @@ def test_compute_malformed_input_exits_2(tmp_path, capsys):
 def test_compute_missing_file_exits_2(capsys):
     code, _, _ = run(capsys, ["compute", "--input", "/nonexistent/x.edges"])
     assert code == 2
+
+
+def test_compute_closed_form_grn_fills_the_weighted_fields_of_an_intact_member(capsys):
+    code, out, _ = run(capsys, ["compute", "--family", "grn", "--n", "5", "--method", "closed-form"])
+    assert code == 0
+    assert out.splitlines()[1] == "grn,5,0,55/3,1375/3,311040,65,1625,closed-form"
+
+
+@pytest.mark.parametrize("formula, field", [("kf_star_gn", "kf_star"), ("gutman_gn", "gutman")])
+def test_compute_all_checks_the_weighted_fields_of_an_intact_grn_member(capsys, monkeypatch, formula, field):
+    from invkit import closed_form
+
+    real = getattr(closed_form, formula)
+    monkeypatch.setattr(closed_form, formula, lambda n: real(n) + 1)
+    code, _, err = run(capsys, ["compute", "--family", "grn", "--n", "5", "--method", "all"])
+    assert code == 3
+    assert f"MISMATCH: closed-form {field}: " in err
+
+
+def _digits(value: int) -> str:
+    """Decimal digits of an int; Decimal renders them past the interpreter's int-to-str limit."""
+    return str(Decimal(value))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "markdown"])
+def test_compute_prints_integers_past_the_digit_limit(capsys, fmt):
+    n = 3990  # tau has 4305 digits
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    code, out, err = run(capsys, ["compute", "--family", "gn", "--n", str(n), "--method", "closed-form", "--format", fmt])
+    assert code == 0, err
+    if fmt == "json":
+        tau = json.loads(out, parse_int=str)["tau"]
+    elif fmt == "csv":
+        tau = out.splitlines()[1].split(",")[5]
+    else:
+        tau = out.splitlines()[2].split(" | ")[5]
+    assert tau == _digits(tau_gn(n))
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+
+
+def test_table_prints_integers_past_the_digit_limit(capsys):
+    code, out, err = run(capsys, ["table", "--family", "gn", "--range", "3990..3992", "--columns", "kf,tau"])
+    assert code == 0, err
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [(g, tau) for g, _, tau in rows] == [(f"G_{n}", _digits(tau_gn(n))) for n in range(3990, 3993)]
+
+
+def test_compute_still_refuses_a_header_past_the_digit_limit(tmp_path, capsys):
+    edge_file = tmp_path / "huge.edges"
+    edge_file.write_text("1" + "0" * 4999 + " 0\n")
+    code, out, err = run(capsys, ["compute", "--input", str(edge_file)])
+    assert (code, out) == (2, "")
+    assert "line 1: non-integer header" in err
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +480,77 @@ def test_verify_checks_weighted_indices_of_intact_members(capsys, monkeypatch, f
     lines = [line for line in out.splitlines() if line.startswith("MISMATCH")]
     assert lines and all(f"D=() invariant={invariant} " in line for line in lines)
     assert len(lines) == 3  # one intact member for each n = 3, 4, 5
+
+
+def _edit_n5_split(monkeypatch, edit):
+    """Apply `edit` to the rim-swap split of every n = 5 prism member."""
+    from invkit import spectral
+
+    real = spectral.involution_split
+
+    def split(g, sigma, normalized=False):
+        result = real(g, sigma, normalized)
+        if g.vertex_count == 10:
+            edit(result)
+        return result
+
+    monkeypatch.setattr(spectral, "involution_split", split)
+
+
+def _shift_split_spectrum(monkeypatch):
+    _edit_n5_split(monkeypatch, lambda split: setattr(split, "eigs_a", split.eigs_a + 1e-3))
+
+
+def _shift_cycle_spectrum(monkeypatch):
+    from invkit import spectral
+
+    real = spectral.cycle_spectrum
+    monkeypatch.setattr(spectral, "cycle_spectrum", lambda n: real(n) + (1e-3 if n == 5 else 0.0))
+
+
+def _bump_block_a(monkeypatch):
+    _edit_n5_split(monkeypatch, lambda split: setattr(split, "block_a", split.block_a + 1))
+
+
+def _reverse_block_s(monkeypatch):
+    # the same number of 4s, at the wrong positions unless D is a palindrome
+    _edit_n5_split(monkeypatch, lambda split: setattr(split, "block_s", split.block_s[::-1, ::-1]))
+
+
+@pytest.mark.parametrize(
+    "check, sabotage, located",
+    [
+        ("split-spectrum", _shift_split_spectrum, ["()", "(1, 2)", "(1, 2, 3, 4, 5)"]),
+        ("predicted-spectrum", _shift_cycle_spectrum, ["()", "(1, 2)", "(1, 2, 3, 4, 5)"]),
+        ("block-a", _bump_block_a, ["()", "(1, 2)", "(1, 2, 3, 4, 5)"]),
+        ("block-s", _reverse_block_s, ["(1, 2)"]),
+    ],
+)
+def test_verify_detects_a_broken_spectrum_split(capsys, monkeypatch, check, sabotage, located):
+    """Each split check runs on the first member of every (n, r), r in {0, n // 2, n}."""
+    sabotage(monkeypatch)
+    code, out, _ = run(capsys, ["verify", "--n-max", "6"])
+    assert code == 3
+    lines = [line for line in out.splitlines() if line.startswith("MISMATCH")]
+    assert [line.split(" invariant=")[0] for line in lines] == [f"MISMATCH: n=5 D={d}" for d in located]
+    assert all(line.split(" invariant=")[1].startswith(f"{check} expected=") for line in lines)
+    assert "spectrum split: 12 members" in out
+
+
+def test_verify_predicts_the_spectrum_from_the_cut_set(capsys, monkeypatch):
+    """A split graph that lost its cuts still matches its own block_s, but not D."""
+    from invkit import graphs, spectral
+
+    monkeypatch.setattr(spectral, "prism_family", lambda spec: graphs.prism_family(graphs.PrismSpec(spec.n)))
+    code, out, _ = run(capsys, ["verify", "--n-max", "4"])
+    assert code == 3
+    located = {line.split(" expected=")[0] for line in out.splitlines() if line.startswith("MISMATCH")}
+    assert located == {
+        f"MISMATCH: n={n} D={d} invariant={check}"
+        for n, cut in ((3, ["(1,)", "(1, 2, 3)"]), (4, ["(1, 2)", "(1, 2, 3, 4)"]))
+        for d in cut
+        for check in ("predicted-spectrum", "block-s")
+    }
 
 
 def test_verify_parallel_matches_sequential(capsys, monkeypatch):

@@ -12,7 +12,6 @@ from invkit import (
     PrismSpec,
     cycle,
     degrees,
-    distance_matrix,
     full_report,
     gutman,
     kf_cycle,
@@ -22,7 +21,6 @@ from invkit import (
     prism_family,
     resistance_matrix,
     spanning_trees,
-    vertex_distance_sum,
     wiener,
 )
 from invkit import exact
@@ -170,13 +168,13 @@ def test_mult_deg_kirchhoff_cycle_is_4kf():
 
 def test_vertex_distance_sums_on_prism():
     g5 = prism_family(PrismSpec(5))
-    assert all(vertex_distance_sum(g5, i) == 13 for i in range(10))
+    assert all(sum(exact._bfs_distances(g5, i)) == 13 for i in range(10))
     g6 = prism_family(PrismSpec(6))
-    assert all(vertex_distance_sum(g6, i) == 19 for i in range(12))
+    assert all(sum(exact._bfs_distances(g6, i)) == 19 for i in range(12))
 
 
 def test_distance_matrix_k6():
-    d = distance_matrix(k6())
+    d = [exact._bfs_distances(k6(), s) for s in range(6)]
     for i in range(6):
         for j in range(6):
             assert d[i][j] == (0 if i == j else 1)
@@ -210,11 +208,11 @@ def test_gutman_tree_identity():
 
 def test_distance_ops_reject_disconnected():
     g = two_disjoint_edges()
-    for fn in (distance_matrix, wiener, gutman):
+    for fn in (wiener, gutman):
         with pytest.raises(DisconnectedGraphError):
             fn(g)
     with pytest.raises(DisconnectedGraphError):
-        vertex_distance_sum(g, 0)
+        exact._bfs_distances(g, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +339,6 @@ def test_relabeling_permutes_resistances_and_keeps_every_invariant():
 def test_full_report_k6():
     rep = full_report(k6())
     assert (rep.kf, rep.kf_star, rep.wiener, rep.gutman, rep.tree_count) == (5, 125, 15, 375, 1296)
-    assert set(rep.methods.values()) == {"exact"}
 
 
 def test_full_report_single_edge():

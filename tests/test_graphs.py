@@ -37,9 +37,9 @@ def test_cycle_triangle():
 
 
 def test_cycle_four_antipodal_distance():
-    from invkit import distance_matrix
+    from invkit.graphs import _bfs
 
-    assert distance_matrix(cycle(4))[0][2] == 2
+    assert _bfs(cycle(4).adjacency, 0)[1][2] == 2
 
 
 def test_cycle_spanning_trees_vs_brute_force():

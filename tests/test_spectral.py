@@ -1,7 +1,9 @@
 """Laplacians, the symmetry split, and spectral invariant formulas."""
 
+import ast
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -295,3 +297,19 @@ def test_spectral_formulas_reject_disconnected_spectrum():
 def test_spectral_formulas_reject_zero_free_spectrum():
     with pytest.raises(ValueError):
         spectral_kf(np.ones(4), 4)
+
+
+def test_spectral_is_the_only_module_that_imports_numpy():
+    package = Path(__file__).parent.parent / "src" / "invkit"
+    importers = set()
+    for source in package.glob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name == "numpy" or name.startswith("numpy.") for name in names):
+                importers.add(source.name)
+    assert importers == {"spectral.py"}
