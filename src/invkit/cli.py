@@ -33,6 +33,11 @@ EXIT_MISMATCH = 3
 
 EXHAUSTIVE_N_CAP = 16  # verify builds 2^n members for every exhaustive rim length n
 N_MAX_CAP = 64  # and about 5(n + 1) sampled ones, each an exact V = 2n solve, for every larger n
+# compute's exact and spectral methods hold V x V matrices (the resistances, the
+# grounded inverse, numpy's Laplacian); at V = 1600 a prism member, whose tree
+# count has the most bits per vertex of the families, took 34 s and 1.1 GB
+# under --method all on one core of a 2-vCPU host, growing as V^3
+DENSE_VERTEX_CAP = 1600
 
 
 class _UsageError(Exception):
@@ -89,12 +94,22 @@ def _parse_deleted(text: str, n: int) -> frozenset[int]:
     return positions
 
 
+def _check_dense_budget(vertex_count: int, method: str, error: type[Exception]) -> None:
+    """Refuse a dense method on a graph above DENSE_VERTEX_CAP vertices, before it is built."""
+    if method != "closed-form" and vertex_count > DENSE_VERTEX_CAP:
+        raise error(
+            f"{vertex_count} vertices is above the {DENSE_VERTEX_CAP}-vertex limit of --method {method}, "
+            "which holds dense V x V matrices; use --method closed-form for the gn, grn and cycle families"
+        )
+
+
 def _build_family_graph(args) -> tuple[graphs.Graph, str, int, int | None]:
     """Return (graph, family, n, r) for a --family invocation."""
     if args.n is None:
         raise _UsageError("--family requires --n")
     n = args.n
     fam = args.family
+    _check_dense_budget(2 * n if fam in ("gn", "grn") else n, args.method, _UsageError)
     if fam in ("gn", "grn"):
         deleted: frozenset[int] = frozenset()
         if fam == "grn":
@@ -123,7 +138,7 @@ def _build_family_graph(args) -> tuple[graphs.Graph, str, int, int | None]:
         raise _UsageError(str(exc)) from None
 
 
-def _load_input_graph(path: str) -> graphs.Graph:
+def _load_input_graph(path: str, method: str) -> graphs.Graph:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -137,6 +152,7 @@ def _load_input_graph(path: str) -> graphs.Graph:
         raise _BadInputError(f"{path}: need at least 2 vertices, got {n}")
     if len(edges) < n - 1:  # refused before the graph allocates anything for its n vertices
         raise _BadInputError("input graph is disconnected")
+    _check_dense_budget(n, method, _BadInputError)
     return graphs.Graph.from_edges(n, edges)
 
 
@@ -222,7 +238,7 @@ def cmd_compute(args) -> int:
     if (args.input is None) == (args.family is None):
         raise _UsageError("give exactly one of --family or --input")
     if args.input is not None:
-        g = _load_input_graph(args.input)
+        g = _load_input_graph(args.input, args.method)
         family, n, r = "file", g.vertex_count, None
     else:
         g, family, n, r = _build_family_graph(args)

@@ -10,12 +10,14 @@ vertices 0..n-1 and the upper rim on n..2n-1, with vertex n+i sitting
 directly above vertex i. `PrismSpec.deleted` uses 1-based rim positions, so
 deleting position i removes the vertical edge {i-1, n+i-1}.
 
-Every breadth-first search in the package is `_bfs`: `is_connected`,
-`rcm_order` and the distance indices of `exact` all run on it.
+Every breadth-first search in the package is `_bfs`: `is_connected` and
+the distance indices of `exact` run on it. `min_degree_order` gives the
+exact solve its elimination order and fill.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 
@@ -205,34 +207,53 @@ def degrees(g: Graph) -> list[int]:
     return [len(a) for a in g.adjacency]
 
 
-def rcm_order(g: Graph) -> list[int]:
-    """Reverse Cuthill-McKee ordering of the vertices of a connected graph.
+def min_degree_order(g: Graph) -> tuple[list[int], list[list[int]]]:
+    """Minimum-degree elimination order of the grounded Laplacian, with its symbolic factor.
 
-    Breadth-first search from a pseudo-peripheral vertex of minimum degree,
-    visiting each vertex's new neighbors by increasing degree (ties by
-    label), then reversed (George & Liu 1981). Listed in this order, the
-    Laplacian keeps its nonzeros near the diagonal: a prism member's
-    bandwidth drops from 2n - 1 in its own labeling to at most 7. Raises
-    DisconnectedGraphError if some vertex is unreachable; this is the
-    connectivity check of the exact resistance solve.
+    One vertex of maximum degree (ties by label) is grounded and listed last.
+    The rest are eliminated one at a time from the graph without it, always a
+    vertex of minimum current degree (ties by label), and each elimination
+    joins the eliminated vertex's neighbors into a clique. Those neighbors
+    are the row pattern of the eliminated vertex in the echelon form U of the
+    Laplacian listed in this order, so the order comes with its fill. The
+    degrees are exact, where approximate minimum degree (Amestoy, Davis &
+    Duff 1996) bounds them; a heap keyed by (degree, label) finds the next
+    vertex.
+
+    Returns (order, pattern): pattern[i] lists, ascending, the positions in
+    `order` of the neighbors order[i] has when it is eliminated, i < n - 1.
+    A disconnected graph gets an order too; its grounded Laplacian is
+    singular, and the elimination says so.
     """
-    deg = degrees(g)
-    # neighbor tuples ascend by label and sorted() is stable: ties go by label
-    by_degree = [sorted(a, key=deg.__getitem__) for a in g.adjacency]
-
-    # pseudo-peripheral root: hop to a minimum-degree vertex of the last BFS
-    # level for as long as that makes the eccentricity grow
-    order, dist = _bfs(by_degree, min(range(g.vertex_count), key=deg.__getitem__))
-    if len(order) < g.vertex_count:
-        raise DisconnectedGraphError("graph is disconnected")
-    while True:
-        depth = dist[order[-1]]
-        far = min((v for v in order if dist[v] == depth), key=deg.__getitem__)
-        far_order, far_dist = _bfs(by_degree, far)
-        if far_dist[far_order[-1]] <= depth:
-            break
-        order, dist = far_order, far_dist
-    return order[::-1]
+    n = g.vertex_count
+    ground = max(range(n), key=lambda v: len(g.adjacency[v]))
+    nbrs = [set(a) for a in g.adjacency]
+    for u in g.adjacency[ground]:
+        nbrs[u].discard(ground)
+    heap = [(len(s), v) for v, s in enumerate(nbrs) if v != ground]
+    heapq.heapify(heap)
+    order: list[int] = []
+    cliques: list[set[int]] = []
+    for _ in range(n - 1):
+        while True:  # an entry is live while its degree is the vertex's current one
+            d, v = heapq.heappop(heap)
+            s = nbrs[v]
+            if s is not None and len(s) == d:
+                break
+        nbrs[v] = None
+        for u in s:
+            su = nbrs[u]
+            su.discard(v)
+            su |= s
+            su.discard(u)
+            heapq.heappush(heap, (len(su), u))
+        order.append(v)
+        cliques.append(s)
+    order.append(ground)
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    return order, [sorted(map(pos.__getitem__, s)) for s in cliques]
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -237,34 +237,24 @@ def bareiss_resistance(g: Graph) -> tuple[list[list[int]], int]:
     return num, det
 
 
-def reference_rcm_order(g: Graph) -> list[int]:
-    """Reverse Cuthill-McKee order of a connected graph, sorting new neighbors per visited vertex.
+def reference_min_degree_order(g: Graph) -> tuple[list[int], list[list[int]]]:
+    """Minimum-degree order and row patterns by a plain scan over the live vertices.
 
-    The same pseudo-peripheral root and tie-breaking as `graphs.rcm_order`
-    (degree first, then label), which sorts every neighbor list once up front
-    instead.
+    The same grounding and tie-breaking as `graphs.min_degree_order` (ground
+    the first vertex of maximum degree, then eliminate by (degree, label)),
+    which keeps a heap instead.
     """
     adj = g.adjacency
-    deg = [len(a) for a in adj]
-
-    def search(root: int) -> tuple[list[int], list[int]]:
-        dist = [-1] * g.vertex_count
-        dist[root] = 0
-        order = [root]
-        for u in order:
-            fresh = sorted((v for v in adj[u] if dist[v] < 0), key=deg.__getitem__)
-            for v in fresh:
-                dist[v] = dist[u] + 1
-            order += fresh
-        return order, dist
-
-    order, dist = search(min(range(g.vertex_count), key=deg.__getitem__))
-    assert len(order) == g.vertex_count, "graph is disconnected"
-    while True:
-        depth = dist[order[-1]]
-        far = min((v for v in order if dist[v] == depth), key=deg.__getitem__)
-        far_order, far_dist = search(far)
-        if far_dist[far_order[-1]] <= depth:
-            break
-        order, dist = far_order, far_dist
-    return order[::-1]
+    ground = max(range(g.vertex_count), key=lambda v: (len(adj[v]), -v))
+    alive = {v: set(adj[v]) - {ground} for v in range(g.vertex_count) if v != ground}
+    order, cliques = [], []
+    while alive:
+        v = min(alive, key=lambda u: (len(alive[u]), u))
+        clique = alive.pop(v)
+        for u in clique:
+            alive[u] = (alive[u] | clique) - {u, v}
+        order.append(v)
+        cliques.append(clique)
+    order.append(ground)
+    pos = {v: i for i, v in enumerate(order)}
+    return order, [sorted(pos[u] for u in c) for c in cliques]

@@ -176,6 +176,33 @@ def test_compute_refuses_too_few_edges_before_building_the_graph(tmp_path, capsy
     assert "line 2: self-loop" in err
 
 
+def test_compute_refuses_dense_methods_above_the_vertex_cap_before_building(tmp_path, capsys, monkeypatch):
+    from invkit import cli, graphs
+
+    def no_build(*args):
+        raise AssertionError("built a graph")
+
+    for name in ("prism_family", "cycle", "path"):
+        monkeypatch.setattr(graphs, name, no_build)
+    monkeypatch.setattr(graphs.Graph, "from_edges", classmethod(no_build))
+    cap = cli.DENSE_VERTEX_CAP
+    edge_file = tmp_path / "long.edges"
+    edge_file.write_text(f"{cap + 1} {cap}\n" + "".join(f"{i} {i + 1}\n" for i in range(cap)))
+    for method in ("exact", "spectral", "all"):
+        for argv, exit_code in [
+            (["--family", "gn", "--n", str(cap // 2 + 1)], 1),
+            (["--family", "grn", "--n", str(cap // 2 + 1), "--r", "3"], 1),
+            (["--family", "cycle", "--n", str(cap + 1)], 1),
+            (["--family", "path", "--n", str(cap + 1)], 1),
+            (["--input", str(edge_file)], 2),
+        ]:
+            code, out, err = run(capsys, ["compute", *argv, "--method", method])
+            assert (code, out) == (exit_code, "")
+            assert f"{cap}-vertex limit" in err and "--method closed-form" in err
+        with pytest.raises(AssertionError, match="built a graph"):  # the cap itself is allowed
+            main(["compute", "--family", "gn", "--n", str(cap // 2), "--method", method])
+
+
 def test_compute_malformed_input_exits_2(tmp_path, capsys):
     edge_file = tmp_path / "bad.edges"
     edge_file.write_text("2 1\n0 0\n")

@@ -24,7 +24,10 @@ from invkit import (
     wiener,
 )
 from invkit import exact
+from invkit.graphs import min_degree_order
 from oracles import (
+    _dense_bareiss,
+    _dense_grounded_laplacian,
     bareiss_resistance,
     bareiss_tree_count,
     brute_force_spanning_trees,
@@ -246,18 +249,23 @@ def test_spanning_trees_single_vertex():
     assert spanning_trees(path(1)) == 1
 
 
+def _upper_rows(m: list[list[int]]) -> list[dict[int, int]]:
+    """The upper triangle of a dense symmetric matrix, every position a key, as `_eliminate` takes it."""
+    return [{j: row[j] for j in range(i, len(m))} for i, row in enumerate(m)]
+
+
 # in the last matrix, row 1 at step 0 and row 2 at step 1 have zero
 # multipliers and are left stale; the bad pivot, -1, is read at step 2 only
 # after row 2 catches up
 @pytest.mark.parametrize("rows", [[[0]], [[1, 2], [2, 1]], [[2, 0, 1], [0, 1, 0], [1, 0, 0]]])
 def test_elimination_rejects_a_matrix_that_is_not_positive_definite(rows):
     with pytest.raises(ValueError, match="not positive definite"):
-        exact._eliminate([row[:] for row in rows], exact._envelope(rows))
+        exact._eliminate(_upper_rows(rows))
 
 
 def test_elimination_pivots_are_the_leading_principal_minors():
     m = [[2, 0, 1], [0, 3, -1], [1, -1, 4]]
-    assert exact._eliminate([row[:] for row in m], exact._envelope(m)) == [2, 6, 19]
+    assert exact._eliminate(_upper_rows(m)) == [2, 6, 19]
 
 
 def test_resistances_that_fail_foster_raise(monkeypatch):
@@ -274,7 +282,25 @@ def test_resistances_that_fail_foster_raise(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the ordered envelope solve against the dense Bareiss oracle
+# the sparse solve on the minimum-degree order against the dense Bareiss oracle
+
+
+def test_the_dense_echelon_form_stays_inside_the_symbolic_patterns():
+    rng = random.Random(229)
+    cases = [
+        prism_family(PrismSpec(n, frozenset(rng.sample(range(1, n + 1), r))))
+        for n in range(3, 21)
+        for r in sorted({0, n // 2, n})
+    ]
+    cases += [random_connected_graph(rng, v, p) for v in range(2, 41) for p in (0.0, 0.1, 0.3)]
+    for g in cases:
+        order, pattern = min_degree_order(g)
+        # relabel so that the oracle, which grounds vertex 0, eliminates in `order`
+        label = {v: i for i, v in enumerate(order[-1:] + order[:-1])}
+        a = _dense_grounded_laplacian(Graph.from_edges(g.vertex_count, [(label[u], label[v]) for u, v in g.edges()]))
+        _dense_bareiss(a)
+        for i, row in enumerate(a):
+            assert {j for j in range(i + 1, len(a)) if row[j]} <= set(pattern[i]), g.edges()
 
 
 def _assert_matches_dense_oracle(g: Graph) -> None:
