@@ -38,6 +38,9 @@ N_MAX_CAP = 64  # and about 5(n + 1) sampled ones, each an exact V = 2n solve, f
 # count has the most bits per vertex of the families, took 34 s and 1.1 GB
 # under --method all on one core of a 2-vCPU host, growing as V^3
 DENSE_VERTEX_CAP = 1600
+# compute --method closed-form prints tau, which has about 1.08 n digits, and
+# int-to-str is quadratic in the digits: 0.21 s at n = 10^5 and 20 s at 10^6 on a 2-vCPU VM
+CLOSED_FORM_N_CAP = 100_000
 
 
 class _UsageError(Exception):
@@ -103,12 +106,17 @@ def _check_dense_budget(vertex_count: int, method: str, error: type[Exception]) 
         )
 
 
-def _build_family_graph(args) -> tuple[graphs.Graph, str, int, int | None]:
-    """Return (graph, family, n, r) for a --family invocation."""
+def _family_member(args) -> tuple[str, int, graphs.PrismSpec | None]:
+    """(family, n, spec) for a --family invocation, validated without building the graph.
+
+    spec is the prism member for gn and grn, and None for cycle and path.
+    """
     if args.n is None:
         raise _UsageError("--family requires --n")
     n = args.n
     fam = args.family
+    if args.method == "closed-form" and n > CLOSED_FORM_N_CAP:
+        raise _UsageError(f"--n {n} is above the {CLOSED_FORM_N_CAP} limit of --method closed-form")
     _check_dense_budget(2 * n if fam in ("gn", "grn") else n, args.method, _UsageError)
     if fam in ("gn", "grn"):
         deleted: frozenset[int] = frozenset()
@@ -125,17 +133,19 @@ def _build_family_graph(args) -> tuple[graphs.Graph, str, int, int | None]:
         elif args.deleted is not None or args.r is not None:
             raise _UsageError("--deleted/--r apply only to --family grn")
         try:
-            spec = graphs.PrismSpec(n, deleted)
+            return fam, n, graphs.PrismSpec(n, deleted)
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
-        return graphs.prism_family(spec), fam, n, spec.r
-    build = {"cycle": graphs.cycle, "path": graphs.path}.get(fam)
-    if build is None:
-        raise _UsageError(f"unknown family {fam!r}")
-    try:
-        return build(n), fam, n, None
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    least = {"cycle": 3, "path": 1}[fam]  # the smallest n that graphs.cycle and graphs.path accept
+    if n < least:
+        raise _UsageError(f"{fam} needs n >= {least}, got {n}")
+    return fam, n, None
+
+
+def _family_graph(fam: str, n: int, spec: graphs.PrismSpec | None) -> graphs.Graph:
+    if spec is not None:
+        return graphs.prism_family(spec)
+    return graphs.cycle(n) if fam == "cycle" else graphs.path(n)
 
 
 def _load_input_graph(path: str, method: str) -> graphs.Graph:
@@ -237,14 +247,16 @@ def _emit_record(record: dict, fmt: str) -> None:
 def cmd_compute(args) -> int:
     if (args.input is None) == (args.family is None):
         raise _UsageError("give exactly one of --family or --input")
+    method = args.method
     if args.input is not None:
-        g = _load_input_graph(args.input, args.method)
+        g = _load_input_graph(args.input, method)
         family, n, r = "file", g.vertex_count, None
     else:
-        g, family, n, r = _build_family_graph(args)
-
-    method = args.method
-    if not graphs.is_connected(g):
+        family, n, spec = _family_member(args)
+        r = None if spec is None else spec.r
+        # every family member is connected, and the closed forms need only (n, r)
+        g = None if method == "closed-form" else _family_graph(family, n, spec)
+    if g is not None and not graphs.is_connected(g):
         raise _BadInputError("input graph is disconnected")
 
     record = {"family": family, "n": n, "r": r, "method": method}

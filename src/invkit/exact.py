@@ -30,8 +30,10 @@ solve checks connectivity first, by one BFS, and
 `resistance_matrix` certifies its result by Foster's theorem before
 returning it.
 
-Distance-based indices (Wiener, Gutman) run the package's one BFS,
-`graphs._bfs`, from every vertex and never touch the linear algebra.
+Distance-based indices (Wiener, Gutman) never touch the linear algebra.
+`_distance_sum` grows every vertex's ball one level at a time as a
+big-integer bitset, so all sources advance together in one pass of
+O(diameter * E) word-parallel ORs instead of one BFS per source.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import DisconnectedGraphError, Graph, _bfs, degrees, is_connected, min_degree_order
+from .graphs import DisconnectedGraphError, Graph, degrees, is_connected, min_degree_order
 
 
 def _grounded_rows(g: Graph) -> tuple[list[int], list[dict[int, int]]]:
@@ -239,27 +241,65 @@ def mult_deg_kirchhoff(g: Graph) -> Fraction:
     return resistance_matrix(g).weighted_pairs_sum(degrees(g))
 
 
-def _bfs_distances(g: Graph, source: int) -> list[int]:
-    order, dist = _bfs(g.adjacency, source)
-    if len(order) < g.vertex_count:
+def _distance_sum(g: Graph, weights) -> int:
+    """Sum of weights[u] * weights[v] * dist(u, v) over unordered pairs, for all sources at once.
+
+    Word-parallel ball growth over big-integer bitsets: vertex u owns
+    weights[u] consecutive bits, and ball_d(v) is the set of bits owned by
+    the vertices within distance d of v. ball_0(v) is v's own bits, and
+    ball_{d+1}(v) is ball_d(v) OR the ball_d of each neighbor, computed for
+    every vertex from the previous level's balls. Level d adds
+    w_v * (W - popcount(ball_d(v))) for every v, W the total weight: the
+    weight of the vertices farther than d from v. Summed over all levels
+    that is w_v times the weighted distance sum from v, so the total counts
+    every pair twice. A vertex drops out once its ball is full.
+
+    Every vertex that has a neighbor must have a positive weight, as unit
+    weights and degrees do. Then a level that adds what the level before it
+    added has grown no ball, and since some ball is not full, the graph is
+    disconnected. A vertex without neighbors is refused first: under degree
+    weights it owns no bits, so no ball could miss it.
+    """
+    n = g.vertex_count
+    adj = g.adjacency
+    if n > 1 and not all(adj):
         raise DisconnectedGraphError("distance is undefined on a disconnected graph")
-    return dist
+    ball, total_w = [], 0
+    for w in weights:
+        ball.append(((1 << w) - 1) << total_w)
+        total_w += w
+    live = range(n)
+    level = sum(w * (total_w - w) for w in weights)
+    total = 0
+    while level:
+        total += level
+        grown = []
+        for v in live:
+            b = ball[v]
+            for u in adj[v]:
+                b |= ball[u]
+            grown.append(b)
+        still, new = [], 0
+        for v, b in zip(live, grown):
+            ball[v] = b
+            short = total_w - b.bit_count()
+            if short:
+                still.append(v)
+                new += weights[v] * short
+        if new == level:
+            raise DisconnectedGraphError("distance is undefined on a disconnected graph")
+        live, level = still, new
+    return total // 2
 
 
 def wiener(g: Graph) -> int:
     """Sum of shortest-path distances over unordered pairs."""
-    return sum(sum(_bfs_distances(g, s)) for s in range(g.vertex_count)) // 2
+    return _distance_sum(g, [1] * g.vertex_count)
 
 
 def gutman(g: Graph) -> int:
     """Degree-weighted distance sum: sum of d_i * d_j * dist(i, j) over pairs."""
-    deg = degrees(g)
-    total = 0
-    for s in range(g.vertex_count):
-        dist = _bfs_distances(g, s)
-        ds = deg[s]
-        total += ds * sum(deg[t] * dist[t] for t in range(g.vertex_count))
-    return total // 2
+    return _distance_sum(g, degrees(g))
 
 
 def spanning_trees(g: Graph) -> int:

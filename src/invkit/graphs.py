@@ -10,9 +10,9 @@ vertices 0..n-1 and the upper rim on n..2n-1, with vertex n+i sitting
 directly above vertex i. `PrismSpec.deleted` uses 1-based rim positions, so
 deleting position i removes the vertical edge {i-1, n+i-1}.
 
-Every breadth-first search in the package is `_bfs`: `is_connected` and
-the distance indices of `exact` run on it. `min_degree_order` gives the
-exact solve its elimination order and fill.
+Every breadth-first search in the package is `_bfs`, which `is_connected`
+runs; the distance indices of `exact` grow bitset balls instead.
+`min_degree_order` gives the exact solve its elimination order and fill.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Independent oracles for the test suite.
 
 Everything here recomputes quantities by a different route than the library:
-brute-force enumeration, Laplace cofactor expansion, Floyd-Warshall, or
-series-parallel reduction. Slow on purpose; only run on small graphs.
+brute-force enumeration, Laplace cofactor expansion, Floyd-Warshall, one
+BFS per source, or series-parallel reduction. Slow on purpose; only run on
+small graphs.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from invkit import Graph
+from invkit import DisconnectedGraphError, Graph
+from invkit.graphs import _bfs
 
 
 def assert_simple_symmetric(g: Graph) -> None:
@@ -79,6 +81,23 @@ def brute_force_wiener(g: Graph) -> int:
     total = sum(dist[i][j] for i in range(g.vertex_count) for j in range(i + 1, g.vertex_count))
     assert total < math.inf, "graph is disconnected"
     return int(total)
+
+
+def bfs_distances(g: Graph, source: int) -> list[int]:
+    """Hop distance from `source` to every vertex; DisconnectedGraphError if one is unreached."""
+    order, dist = _bfs(g.adjacency, source)
+    if len(order) < g.vertex_count:
+        raise DisconnectedGraphError("distance is undefined on a disconnected graph")
+    return dist
+
+
+def bfs_distance_sum(g: Graph, weights) -> int:
+    """Sum of weights[u] * weights[v] * dist(u, v) over unordered pairs, by one BFS per source."""
+    total = 0
+    for s in range(g.vertex_count):
+        dist = bfs_distances(g, s)
+        total += weights[s] * sum(w * d for w, d in zip(weights, dist))
+    return total // 2
 
 
 def laplace_det(m: list[list[Fraction]]) -> Fraction:

@@ -203,6 +203,60 @@ def test_compute_refuses_dense_methods_above_the_vertex_cap_before_building(tmp_
             main(["compute", "--family", "gn", "--n", str(cap // 2), "--method", method])
 
 
+def test_compute_closed_form_validates_without_building_the_graph(capsys, monkeypatch):
+    from invkit import graphs
+
+    def no_graph(*args):
+        raise AssertionError("built or searched a graph")
+
+    for name in ("prism_family", "cycle", "is_connected"):
+        monkeypatch.setattr(graphs, name, no_graph)
+    for argv, expected in [
+        (["--family", "gn", "--n", "5"], "gn,5,0,55/3,1375/3,311040,65,1625,closed-form"),
+        (["--family", "grn", "--n", "5", "--deleted", "2,4"], "grn,5,2,20,,138240,67,,closed-form"),
+        (["--family", "cycle", "--n", "5"], "cycle,5,,10,,,,,closed-form"),
+    ]:
+        code, out, err = run(capsys, ["compute", *argv, "--method", "closed-form"])
+        assert (code, err) == (0, ""), err
+        assert out.splitlines()[1] == expected
+    code, out, _ = run(capsys, ["compute", "--family", "grn", "--n", "40", "--r", "7", "--method", "closed-form"])
+    assert (code, out.splitlines()[1].split(",")[2]) == (0, "7")
+    for argv, message in [
+        (["--family", "gn"], "--family requires --n"),
+        (["--family", "gn", "--n", "2"], "rim length must be >= 3, got 2"),
+        (["--family", "cycle", "--n", "2"], "cycle needs n >= 3, got 2"),
+        (["--family", "path", "--n", "0"], "path needs n >= 1, got 0"),
+        (["--family", "path", "--n", "4"], "closed-form method needs --family gn, grn, or cycle"),
+        (["--family", "gn", "--n", "5", "--r", "1"], "--deleted/--r apply only to --family grn"),
+        (["--family", "grn", "--n", "5", "--deleted", "9"], "--deleted positions [9] outside 1..5"),
+        (["--family", "grn", "--n", "5", "--deleted", "x"], "--deleted expects comma-separated integers, got 'x'"),
+        (["--family", "grn", "--n", "5", "--r", "6"], "--r must lie in 0..5"),
+        (["--family", "grn", "--n", "5", "--r", "1", "--deleted", "1"], "give either --deleted or --r, not both"),
+    ]:
+        code, out, err = run(capsys, ["compute", *argv, "--method", "closed-form"])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_compute_closed_form_refuses_n_above_its_limit_before_any_arithmetic(capsys, monkeypatch):
+    from invkit import cli, closed_form
+
+    cap = cli.CLOSED_FORM_N_CAP
+    assert cap == 100_000
+    code, out, err = run(capsys, ["compute", "--family", "gn", "--n", str(cap), "--method", "closed-form"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].startswith(f"gn,{cap},0,")
+
+    def no_arithmetic(*args):
+        raise AssertionError("evaluated a closed form")
+
+    for name in ("family_report", "kf_cycle"):
+        monkeypatch.setattr(closed_form, name, no_arithmetic)
+    for family in ("gn", "grn", "cycle", "path"):
+        code, out, err = run(capsys, ["compute", "--family", family, "--n", str(cap + 1), "--method", "closed-form"])
+        assert (code, out) == (1, "")
+        assert err == f"error: --n {cap + 1} is above the {cap} limit of --method closed-form\n"
+
+
 def test_compute_malformed_input_exits_2(tmp_path, capsys):
     edge_file = tmp_path / "bad.edges"
     edge_file.write_text("2 1\n0 0\n")

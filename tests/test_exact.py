@@ -30,6 +30,8 @@ from oracles import (
     _dense_grounded_laplacian,
     bareiss_resistance,
     bareiss_tree_count,
+    bfs_distance_sum,
+    bfs_distances,
     brute_force_spanning_trees,
     brute_force_wiener,
     cofactor_resistance,
@@ -171,13 +173,13 @@ def test_mult_deg_kirchhoff_cycle_is_4kf():
 
 def test_vertex_distance_sums_on_prism():
     g5 = prism_family(PrismSpec(5))
-    assert all(sum(exact._bfs_distances(g5, i)) == 13 for i in range(10))
+    assert all(sum(bfs_distances(g5, i)) == 13 for i in range(10))
     g6 = prism_family(PrismSpec(6))
-    assert all(sum(exact._bfs_distances(g6, i)) == 19 for i in range(12))
+    assert all(sum(bfs_distances(g6, i)) == 19 for i in range(12))
 
 
 def test_distance_matrix_k6():
-    d = [exact._bfs_distances(k6(), s) for s in range(6)]
+    d = [bfs_distances(k6(), s) for s in range(6)]
     for i in range(6):
         for j in range(6):
             assert d[i][j] == (0 if i == j else 1)
@@ -215,7 +217,62 @@ def test_distance_ops_reject_disconnected():
         with pytest.raises(DisconnectedGraphError):
             fn(g)
     with pytest.raises(DisconnectedGraphError):
-        exact._bfs_distances(g, 0)
+        bfs_distances(g, 0)
+
+
+def _star(n: int) -> Graph:
+    return Graph.from_edges(n, [(0, i) for i in range(1, n)])
+
+
+def _complete(n: int) -> Graph:
+    return Graph.from_edges(n, combinations(range(n), 2))
+
+
+def _seeded_prism(n: int, r: int) -> Graph:
+    return prism_family(PrismSpec(n, frozenset(random.Random(n * 31 + r).sample(range(1, n + 1), r))))
+
+
+def _seeded_random(v: int, prob: float) -> Graph:
+    return random_connected_graph(random.Random(v * 1009 + int(prob * 100)), v, prob)
+
+
+_DISTANCE_CASES = (
+    [pytest.param(_seeded_prism, (n, r), id=f"prism-{n}-{r}") for n in range(3, 31) for r in sorted({0, n // 2, n})]
+    + [
+        pytest.param(_seeded_random, (v, prob), id=f"random-{v}-{prob}")
+        for v in range(1, 121)
+        for prob in (0.0, 0.03, 0.3)
+    ]
+    + [pytest.param(path, (n,), id=f"path-{n}") for n in range(1, 31)]
+    + [pytest.param(cycle, (n,), id=f"cycle-{n}") for n in range(3, 31)]
+    + [pytest.param(_star, (n,), id=f"star-{n}") for n in range(2, 31)]
+    + [pytest.param(_complete, (n,), id=f"complete-{n}") for n in range(1, 13)]
+    + [
+        pytest.param(Graph.from_edges, (v, edges), id=f"disconnected-{i}")
+        for i, (v, edges) in enumerate(
+            [
+                (2, []),
+                (5, []),
+                (4, [(0, 1), (2, 3)]),
+                (4, [(0, 1), (1, 2)]),  # an isolated vertex beside a path
+                (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+            ]
+        )
+    ]
+)
+
+
+@pytest.mark.parametrize("build, args", _DISTANCE_CASES)
+def test_distance_indices_match_the_bfs_oracle(build, args):
+    g = build(*args)
+    for index, weights in ((wiener, [1] * g.vertex_count), (gutman, degrees(g))):
+        try:
+            want = bfs_distance_sum(g, weights)
+        except DisconnectedGraphError:
+            with pytest.raises(DisconnectedGraphError):
+                index(g)
+        else:
+            assert index(g) == want
 
 
 # ---------------------------------------------------------------------------
