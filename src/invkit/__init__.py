@@ -2,7 +2,8 @@
 
 The exact module is authoritative (arbitrary-precision rationals); the
 spectral module provides floating-point routes to the same invariants via
-Laplacian eigenvalues; closed_form holds the (n, r) formulas for the
+Laplacian eigenvalues, and is the one module that imports numpy, so its
+names are imported on first use; closed_form holds the (n, r) formulas for the
 doubled-cycle strong-product family and its vertical-edge deletions.
 """
 
@@ -45,18 +46,6 @@ from .graphs import (
     rim_swap,
     serialize_edge_list,
     strong_product,
-)
-from .spectral import (
-    DecompositionError,
-    TreeCount,
-    cycle_spectrum,
-    eigenvalues_sym,
-    involution_split,
-    laplacian,
-    normalized_laplacian,
-    spectral_kf,
-    spectral_kf_star,
-    spectral_tree_count,
 )
 
 __version__ = "0.1.0"
@@ -107,3 +96,13 @@ __all__ = [
     "wiener_gn",
     "wiener_grn",
 ]
+
+
+def __getattr__(name: str):
+    # the names of `spectral` in __all__ are the only ones not imported above:
+    # spectral imports numpy, so it is imported when the first of them is used
+    if name in __all__:
+        from . import spectral
+
+        return getattr(spectral, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,8 +6,10 @@ under `compute --method all`, and an exact result that fails its
 certificate).
 
 `verify` walks one list of prism members; the first member of each (n, r)
-with r in {0, n // 2, n} also runs `spectral.prism_split_disagreements`, so
-this module needs no numpy of its own.
+with r in {0, n // 2, n} also runs `spectral.prism_split_disagreements`.
+`spectral`, the one module that imports numpy, and the process pool are
+imported only by the code that uses them, so `table`, `ratio` and the
+exact and closed-form routes of `compute` start without either.
 """
 
 from __future__ import annotations
@@ -18,11 +20,10 @@ import math
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from fractions import Fraction
 
-from . import closed_form, exact, graphs, spectral
+from . import closed_form, exact, graphs
 
 SPECTRAL_RTOL = 1e-6  # exact-vs-spectral agreement budget
 
@@ -187,6 +188,8 @@ def _closed_form_fields(family: str, n: int, r: int | None) -> dict:
 
 def _spectral_fields(g: graphs.Graph) -> tuple[float, float, spectral.TreeCount]:
     """Kf, Kf* and the spanning-tree count from the Laplacian and normalized-Laplacian spectra."""
+    from . import spectral
+
     eigs_l = spectral.eigenvalues_sym(spectral.laplacian(g))
     eigs_nl = spectral.eigenvalues_sym(spectral.normalized_laplacian(g))
     return (
@@ -359,6 +362,8 @@ def _member_disagreements(job: tuple[int, tuple[int, ...], bool]) -> list[tuple[
     rep = exact.full_report(graphs.prism_family(spec))
     found = _disagreements(_report_fields(rep), _report_fields(closed_form.family_report(n, spec.r)))
     if split:
+        from . import spectral
+
         found += spectral.prism_split_disagreements(spec)
     return found
 
@@ -421,6 +426,8 @@ def cmd_verify(args) -> int:
         seen.add((n, len(dset)))
     workers = _pool_size(_thread_count(), os.cpu_count(), len(jobs))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_member_disagreements, jobs, chunksize=16))

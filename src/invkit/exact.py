@@ -28,7 +28,8 @@ On a random graph with V = 200 and average degree 4.5, U holds about 2,400
 entries off the diagonal; on a prism member with V = 200, about 690. The
 solve checks connectivity first, by one BFS, and
 `resistance_matrix` certifies its result by Foster's theorem before
-returning it.
+returning it; `full_report` also certifies Kf <= W, with equality exactly on
+trees.
 
 Distance-based indices (Wiener, Gutman) never touch the linear algebra.
 `_distance_sum` grows every vertex's ball one level at a time as a
@@ -315,13 +316,21 @@ def spanning_trees(g: Graph) -> int:
 
 
 def full_report(g: Graph) -> InvariantReport:
-    """Compute all five invariants exactly; DisconnectedGraphError if g is disconnected."""
+    """Compute all five invariants exactly; DisconnectedGraphError if g is disconnected.
+
+    Certifies Kf <= W, with equality exactly on trees (m = n - 1): r_uv <=
+    dist(u, v) for every pair, with equality for all pairs only when every
+    edge is a bridge. Raises ArithmeticError if that fails.
+    """
     rm = resistance_matrix(g)
     deg = degrees(g)
-    return InvariantReport(
+    rep = InvariantReport(
         kf=rm.pairs_sum(),
         kf_star=rm.weighted_pairs_sum(deg),
         wiener=wiener(g),
         gutman=gutman(g),
         tree_count=rm.den,
     )
+    if rep.kf > rep.wiener or (rep.kf == rep.wiener) != (g.edge_count == g.vertex_count - 1):
+        raise ArithmeticError("Kf and W fail their certificate: Kf <= W, with equality exactly on trees")
+    return rep

@@ -1,6 +1,8 @@
 """CLI contract: output formats, exit codes, golden tables, determinism."""
 
 import json
+import os
+import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -536,6 +538,15 @@ def test_compute_exits_3_when_the_resistances_fail_their_certificate(capsys, mon
         assert "Foster" in err
 
 
+def test_compute_exits_3_when_kf_and_wiener_fail_their_certificate(capsys, monkeypatch):
+    from invkit import exact
+
+    monkeypatch.setattr(exact, "wiener", lambda g: 0)
+    code, out, err = run(capsys, ["compute", "--family", "gn", "--n", "4", "--method", "exact"])
+    assert (code, out) == (3, "")
+    assert "Kf <= W" in err
+
+
 def test_verify_detects_sabotaged_formula(capsys, monkeypatch):
     """Flipping one closed-form constant must surface as a located mismatch."""
     from invkit import closed_form
@@ -662,3 +673,47 @@ def test_verify_deterministic_bytes(capsys):
 
 def test_help_exits_zero(capsys):
     assert run(capsys, ["--help"])[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# import footprint
+
+_FOOTPRINT = """
+import contextlib, io, sys
+from invkit import cli
+for argv in COMMANDS:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+loaded = sorted(m for m in ("numpy", "concurrent.futures") if m in sys.modules)
+assert not loaded, f"imported by table, ratio and compute without the spectral route: {loaded}"
+
+import invkit
+for name in invkit.__all__:
+    getattr(invkit, name)
+try:
+    invkit.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("invkit.no_such_name resolved")
+"""
+
+
+def test_cli_without_the_spectral_route_imports_neither_numpy_nor_the_pool(tmp_path):
+    edges = tmp_path / "k4.edges"
+    edges.write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n", encoding="utf-8")
+    commands = [
+        ["table", "--table", "1"],
+        ["ratio", "--family", "grn", "--n-range", "3..30", "--step", "3", "--r", "2"],
+        ["compute", "--family", "grn", "--n", "40", "--r", "7", "--method", "closed-form", "--format", "json"],
+        ["compute", "--family", "grn", "--n", "6", "--deleted", "2,5", "--method", "exact"],
+        ["compute", "--input", str(edges), "--format", "json"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", f"COMMANDS = {commands!r}\n{_FOOTPRINT}"],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -338,6 +338,22 @@ def test_resistances_that_fail_foster_raise(monkeypatch):
         resistance_matrix(cycle(5))
 
 
+# Kf(C_4) = 5 and W(C_4) = 8; Kf = W = 10 on the path with 4 vertices
+@pytest.mark.parametrize(
+    "g, fake_wiener",
+    [
+        (cycle(5), lambda w: 0),  # Kf > W
+        (cycle(4), lambda w: 5),  # Kf = W off a tree
+        (path(4), lambda w: w + 1),  # Kf < W on a tree
+    ],
+)
+def test_reports_that_fail_kf_at_most_wiener_raise(monkeypatch, g, fake_wiener):
+    real = exact.wiener
+    monkeypatch.setattr(exact, "wiener", lambda h: fake_wiener(real(h)))
+    with pytest.raises(ArithmeticError, match="Kf <= W"):
+        full_report(g)
+
+
 # ---------------------------------------------------------------------------
 # the sparse solve on the minimum-degree order against the dense Bareiss oracle
 

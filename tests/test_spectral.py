@@ -17,6 +17,7 @@ from invkit import (
     cycle_spectrum,
     degrees,
     eigenvalues_sym,
+    full_report,
     involution_split,
     kf_cycle,
     laplacian,
@@ -267,6 +268,30 @@ def test_spectral_tree_count_value_is_exact_whenever_it_fits():
             fitting += 1
             assert tc.value == spanning_trees(g), g.edges()
     assert fitting >= 100
+
+
+def test_exact_kirchhoff_indices_match_their_spectral_identities_on_random_graphs():
+    """Kf = n sum 1/mu (Gutman & Mohar 1996) and Kf* = 2m sum 1/lambda (Chen & Zhang 2007).
+
+    mu runs over the nonzero Laplacian eigenvalues and lambda over the
+    nonzero normalized-Laplacian ones; both matrices are built here from the
+    edge list, apart from `spectral`.
+    """
+    rng = random.Random(1996)
+    for _ in range(40):
+        g = random_connected_graph(rng, rng.randint(2, 60), extra_edge_prob=rng.choice([0.0, 0.03, 0.1, 0.3]))
+        n, m = g.vertex_count, g.edge_count
+        lap = np.zeros((n, n))
+        for u, v in g.edges():
+            lap[u, v] = lap[v, u] = -1.0
+            lap[u, u] += 1.0
+            lap[v, v] += 1.0
+        scale = 1.0 / np.sqrt(np.diag(lap))
+        mu = np.linalg.eigvalsh(lap)[1:]
+        lam = np.linalg.eigvalsh(lap * np.outer(scale, scale))[1:]
+        rep = full_report(g)
+        assert math.isclose(n * np.sum(1.0 / mu), rep.kf, rel_tol=1e-9), g.edges()
+        assert math.isclose(2 * m * np.sum(1.0 / lam), rep.kf_star, rel_tol=1e-9), g.edges()
 
 
 def test_spectral_tree_count_withholds_an_inexact_integer():
