@@ -31,6 +31,21 @@ solve checks connectivity first, by one BFS, and
 returning it; `full_report` also certifies Kf <= W, with equality exactly on
 trees.
 
+Strong doubles. When every vertex has a twin, a partner with the same
+neighbors apart from each other, `_twin_split` pairs them off in O(m) and g
+is K_2 strong H, with the vertical edge of each pair in a set D cut. Swapping
+the pairs splits the Laplacian into A + B = 2 L(H) and A - B = diag(2 s_i),
+s_i = deg_H(i) + 1 - [i in D], so `resistance_matrix` runs the solve above
+on the k = n/2 vertices of H and expands it: tau(g) = 2^(2k-2) tau(H) prod
+s_i, two copies of distinct i, j are r^H_ij / 4 + 1/(4 s_i) + 1/(4 s_j)
+apart, and the two copies of i are 1/s_i apart. `full_report` reads Wiener
+and Gutman off H the same way. Graphs with a vertex that has no twin, an odd
+class of twins, or fewer than 4 vertices take the general solve, and both
+routes return the same integers. On a prism member, H is a cycle, whose
+grounded inverse holds numbers of a few bits where g's holds hundreds:
+`full_report` on a member with V = 1000 and half its verticals cut took
+0.5-0.8 s on a 2-vCPU VM, against 5.5-7.0 s for the general solve.
+
 Distance-based indices (Wiener, Gutman) never touch the linear algebra.
 `_distance_sum` grows every vertex's ball one level at a time as a
 big-integer bitset, so all sources advance together in one pass of
@@ -39,8 +54,11 @@ O(diameter * E) word-parallel ORs instead of one BFS per source.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
+from operator import itemgetter
 
 from .graphs import DisconnectedGraphError, Graph, degrees, is_connected, min_degree_order
 
@@ -169,7 +187,7 @@ class ResistanceMatrix:
 
     def pairs_sum(self) -> Fraction:
         """Sum of resistances over unordered vertex pairs."""
-        total = sum(self.num[i][j] for i in range(self.order) for j in range(i + 1, self.order))
+        total = sum(sum(row[i + 1 :]) for i, row in enumerate(self.num))
         return Fraction(total, self.den)
 
     def weighted_pairs_sum(self, weights) -> Fraction:
@@ -197,21 +215,36 @@ class InvariantReport:
 def resistance_matrix(g: Graph) -> ResistanceMatrix:
     """Exact effective resistance between every vertex pair.
 
-    Grounds the last vertex of `min_degree_order`, inverts the reduced Laplacian
-    exactly, and assembles r_ij = x_ii + x_jj - 2 x_ij where x is the grounded
-    inverse extended by zeros at the grounded vertex. Before returning it
-    checks Foster's theorem, sum of r_uv over the edges = n - 1, and raises
-    ArithmeticError if that fails. Raises DisconnectedGraphError on
-    disconnected input.
+    When every vertex of g has a twin (`_twin_split`), solves the half-size
+    quotient H and expands its resistances by the rim-swap split; otherwise
+    solves g itself. Either way the result is num[i][j] / den with den the
+    spanning-tree count, so the two routes return identical matrices. Before
+    returning it checks Foster's theorem over g's edges, sum of r_uv = n - 1,
+    and raises ArithmeticError if that fails. Raises DisconnectedGraphError
+    on disconnected input.
     """
     n = g.vertex_count
     if n < 2:
         raise ValueError("resistance needs at least 2 vertices")
     if not is_connected(g):
         raise DisconnectedGraphError("graph is disconnected")
+    split = _twin_split(g)
+    num, den = _grounded_resistances(g) if split is None else _twin_resistances(*split)
+    if sum(num[u][v] for u, v in g.edges()) != (n - 1) * den:
+        raise ArithmeticError("resistances fail Foster's theorem: the edge sum is not n - 1")
+    return ResistanceMatrix(order=n, num=num, den=den)
+
+
+def _grounded_resistances(g: Graph) -> tuple[list[list[int]], int]:
+    """(num, det) for a connected g: num[i][j] = det * r_ij, det the spanning-tree count.
+
+    Grounds the last vertex of `min_degree_order`, inverts the reduced
+    Laplacian exactly, and assembles r_ij = x_ii + x_jj - 2 x_ij where x is
+    the grounded inverse extended by zeros at the grounded vertex.
+    """
+    n = g.vertex_count
     pos, rows = _grounded_rows(g)
     pivots = _eliminate(rows)
-    det = pivots[-1]
     x = _inverse_from_u(rows, pivots)
     # zero-extend at the grounded vertex, index n - 1
     for row in x:
@@ -227,9 +260,85 @@ def resistance_matrix(g: Graph) -> ResistanceMatrix:
             val = di + diag[j] - 2 * xi[pos[j]]
             row[j] = val
             num[j][i] = val
-    if sum(num[u][v] for u, v in g.edges()) != (n - 1) * det:
-        raise ArithmeticError("resistances fail Foster's theorem: the edge sum is not n - 1")
-    return ResistanceMatrix(order=n, num=num, den=det)
+    return num, pivots[-1]
+
+
+def _twin_split(g: Graph) -> tuple[Graph, list[int], list[int]] | None:
+    """(h, half, cut) when every vertex of g pairs off with a twin, else None.
+
+    Twins u, v have the same neighbors apart from each other: the same open
+    neighborhood (false twins, not adjacent) or the same closed one (true
+    twins, adjacent). No vertex has twins of both kinds, since a true twin w
+    and a false twin v of u would make v adjacent to w and so to u. Each
+    class of twins must have even size, and any pairing inside a class will
+    do: between two pairs the four edges are then all present or all absent.
+    So g is K_2 strong H with the verticals of some pairs cut, where the
+    quotient h has one vertex per pair, pairs in order of their lower vertex.
+    half[v] is the pair of vertex v, and cut[i] is 1 when pair i is not
+    adjacent. Graphs with fewer than 4 vertices get None: the quotient of
+    K_2 has one vertex, which the split cannot ground.
+    """
+    n = g.vertex_count
+    if n % 2 or n < 4:
+        return None
+    adj = g.adjacency
+    by_open: dict[tuple[int, ...], list[int]] = {}
+    by_closed: dict[tuple[int, ...], list[int]] = {}
+    for v, a in enumerate(adj):
+        by_open.setdefault(a, []).append(v)
+        i = bisect_left(a, v)
+        by_closed.setdefault(a[:i] + (v,) + a[i:], []).append(v)
+    pairs = []
+    for classes, c in ((by_open, 1), (by_closed, 0)):
+        for members in classes.values():
+            pairs.extend((u, c) for u in zip(members[::2], members[1::2]))
+    if 2 * len(pairs) != n:  # some vertex has no twin, or some class is odd
+        return None
+    pairs.sort()
+    half = [0] * n
+    for i, ((u, w), _) in enumerate(pairs):
+        half[u] = half[w] = i
+    quotient = []
+    for i, ((u, _), _) in enumerate(pairs):
+        nbrs = {half[x] for x in adj[u]}
+        nbrs.discard(i)
+        quotient.append(tuple(sorted(nbrs)))
+    return Graph(len(pairs), tuple(quotient)), half, [c for _, c in pairs]
+
+
+def _twin_resistances(h: Graph, half: list[int], cut: list[int]) -> tuple[list[list[int]], int]:
+    """(num, den) for the strong double of `_twin_split`, from one grounded solve on h.
+
+    Swapping every pair is an automorphism, and it splits the Laplacian of g
+    into A + B = 2 L(h) and A - B = diag(2 s_i), with s_i = deg_h(i) + 1 -
+    cut[i]. With k = |V(h)|, S = prod s_i and rho_ij = tau(h) r^h_ij:
+
+        den = tau(g) = 2^(2k-2) tau(h) S
+        copies of distinct i, j:  num = 2^(2k-4) (S rho_ij + tau(h) (S/s_i + S/s_j))
+        the two copies of i:      num = 2^(2k-2) tau(h) S/s_i, so r = 1/s_i
+
+    Entries are shared between the rows of the two copies of a pair.
+    """
+    k = h.vertex_count
+    rho, tau = _grounded_resistances(h)
+    s = [len(a) + 1 - c for a, c in zip(h.adjacency, cut)]
+    big_s = prod(s)
+    shift = 2 * k - 4
+    scale = big_s << shift
+    a = [tau * (big_s // si) << shift for si in s]  # 2^(2k-4) tau(h) S/s_i
+    t = []
+    for i, row in enumerate(rho):
+        ai = a[i]
+        ti = [scale * r + ai + aj for r, aj in zip(row, a)]
+        ti[i] = ai << 2
+        t.append(ti)
+    pick = itemgetter(*half)
+    num = []
+    for v, i in enumerate(half):
+        row = list(pick(t[i]))
+        row[v] = 0
+        num.append(row)
+    return num, (tau * big_s) << (2 * k - 2)
 
 
 def kirchhoff_index(g: Graph) -> Fraction:
@@ -318,17 +427,31 @@ def spanning_trees(g: Graph) -> int:
 def full_report(g: Graph) -> InvariantReport:
     """Compute all five invariants exactly; DisconnectedGraphError if g is disconnected.
 
+    When g splits into twin pairs (`_twin_split`), the distance indices come
+    from the quotient h: W(g) = 4 W(h) + k + |D| and Gutman(g) =
+    4 sum_{i<j} e_i e_j dist_h(i, j) + sum_i e_i^2 (1 + cut_i), with e_i
+    the degree in g of either copy of i and D the cut pairs; two copies of i
+    are 1 apart, or 2 when cut.
+
     Certifies Kf <= W, with equality exactly on trees (m = n - 1): r_uv <=
     dist(u, v) for every pair, with equality for all pairs only when every
     edge is a bridge. Raises ArithmeticError if that fails.
     """
     rm = resistance_matrix(g)
     deg = degrees(g)
+    split = _twin_split(g)
+    if split is None:
+        w, gut = wiener(g), gutman(g)
+    else:
+        h, _, cut = split
+        e = [2 * len(a) + 1 - c for a, c in zip(h.adjacency, cut)]
+        w = 4 * wiener(h) + h.vertex_count + sum(cut)
+        gut = 4 * _distance_sum(h, e) + sum(x * x * (1 + c) for x, c in zip(e, cut))
     rep = InvariantReport(
         kf=rm.pairs_sum(),
         kf_star=rm.weighted_pairs_sum(deg),
-        wiener=wiener(g),
-        gutman=gutman(g),
+        wiener=w,
+        gutman=gut,
         tree_count=rm.den,
     )
     if rep.kf > rep.wiener or (rep.kf == rep.wiener) != (g.edge_count == g.vertex_count - 1):

@@ -80,17 +80,6 @@ class Graph:
         """All edges as (u, v) with u < v, lexicographically sorted."""
         return [(u, v) for u in range(self.vertex_count) for v in self.adjacency[u] if u < v]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        a = self.adjacency[u]
-        lo, hi = 0, len(a)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if a[mid] < v:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(a) and a[lo] == v
-
 
 @dataclass(frozen=True)
 class PrismSpec:

@@ -338,12 +338,13 @@ def test_resistances_that_fail_foster_raise(monkeypatch):
         resistance_matrix(cycle(5))
 
 
-# Kf(C_4) = 5 and W(C_4) = 8; Kf = W = 10 on the path with 4 vertices
+# Kf(C_5) = 10 and W(C_5) = 15; Kf = W = 10 on the path with 4 vertices.
+# None of the three graphs splits into twin pairs, so `wiener` runs on g itself.
 @pytest.mark.parametrize(
     "g, fake_wiener",
     [
         (cycle(5), lambda w: 0),  # Kf > W
-        (cycle(4), lambda w: 5),  # Kf = W off a tree
+        (cycle(5), lambda w: 10),  # Kf = W off a tree
         (path(4), lambda w: w + 1),  # Kf < W on a tree
     ],
 )
@@ -480,3 +481,113 @@ def test_mult_deg_kirchhoff_is_choice_dependent():
     assert adjacent == Fraction(931, 4)
     assert antipodal == 233
     assert adjacent != antipodal
+
+
+# ---------------------------------------------------------------------------
+# the half-size solve for graphs that split into twin pairs
+
+
+def _strong_double(h: Graph, deleted, rng) -> Graph:
+    """K_2 strong h with the verticals of `deleted` cut, its vertices shuffled."""
+    k = h.vertex_count
+    edges = [(i, k + i) for i in range(k) if i not in deleted]
+    for i, j in h.edges():
+        edges += [(i, j), (k + i, k + j), (i, k + j), (j, k + i)]
+    perm = list(range(2 * k))
+    rng.shuffle(perm)
+    return Graph.from_edges(2 * k, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _general_report(monkeypatch, g: Graph):
+    with monkeypatch.context() as m:
+        m.setattr(exact, "_twin_split", lambda g: None)
+        return full_report(g)
+
+
+def _assert_twin_route_matches(monkeypatch, g: Graph) -> None:
+    assert exact._twin_split(g) is not None, g.edges()
+    _assert_matches_dense_oracle(g)
+    assert full_report(g) == _general_report(monkeypatch, g), g.edges()
+
+
+def _quotients(k: int, rng):
+    yield random_connected_graph(rng, k, 0.1)
+    yield random_connected_graph(rng, k, 0.5)
+    yield random_tree(rng, k)
+    yield _complete(k)
+    if k >= 3:
+        yield cycle(k)
+
+
+@pytest.mark.parametrize("k", range(2, 15))
+def test_strong_doubles_take_the_twin_route_and_match_the_dense_oracle(monkeypatch, k):
+    rng = random.Random(2000 + k)
+    for h in _quotients(k, rng):
+        deleted = {i for i in range(k) if rng.random() < 0.5}
+        _assert_twin_route_matches(monkeypatch, _strong_double(h, deleted, rng))
+
+
+def test_twin_classes_larger_than_two_pair_off_in_any_order(monkeypatch):
+    rng = random.Random(233)
+    k44 = Graph.from_edges(8, [(i, j) for i in range(4) for j in range(4, 8)])
+    for g in (_complete(6), cycle(4), k44, _strong_double(cycle(4), {0, 2}, rng)):
+        _assert_twin_route_matches(monkeypatch, g)
+    h, _, cut = exact._twin_split(_complete(6))
+    assert (h.adjacency, cut) == (_complete(3).adjacency, [0, 0, 0])
+    # the four copies of the two cut positions are one class of false twins
+    h, _, cut = exact._twin_split(_strong_double(cycle(4), {0, 2}, rng))
+    assert (h.edge_count, sorted(cut)) == (4, [0, 0, 1, 1])
+
+
+def _petersen() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph.from_edges(10, outer + inner + [(i, i + 5) for i in range(5)])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        path(2),  # the quotient would have one vertex
+        _star(4),  # the leaves are an odd class and the centre has no twin
+        Graph.from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)]),  # K_{3,3}: two odd classes
+        _complete(5),
+        _petersen(),
+        cycle(6),
+    ],
+    ids=["K2", "K13", "K33", "K5", "petersen", "C6"],
+)
+def test_graphs_without_a_twin_pairing_take_the_general_route(g):
+    assert exact._twin_split(g) is None
+    _assert_matches_dense_oracle(g)
+
+
+def test_random_graphs_take_the_general_route():
+    rng = random.Random(239)
+    for v in range(6, 41, 2):
+        for prob in (0.1, 0.3):
+            g = random_connected_graph(rng, v, prob)
+            assert exact._twin_split(g) is None, g.edges()
+
+
+def test_a_disconnected_strong_double_raises():
+    g = _strong_double(two_disjoint_edges(), {1, 2}, random.Random(241))
+    assert exact._twin_split(g) is not None
+    for fn in (resistance_matrix, full_report):
+        with pytest.raises(DisconnectedGraphError):
+            fn(g)
+
+
+def test_twin_route_resistances_that_fail_foster_raise(monkeypatch):
+    real = exact._inverse_from_u
+
+    def corrupted(*args):
+        y = real(*args)
+        y[0][0] += 1
+        return y
+
+    g = prism_family(PrismSpec(6, frozenset({1, 3})))
+    assert exact._twin_split(g) is not None
+    monkeypatch.setattr(exact, "_inverse_from_u", corrupted)
+    with pytest.raises(ArithmeticError, match="Foster"):
+        resistance_matrix(g)

@@ -87,8 +87,8 @@ def _strong_product_reference(g, h):
         for b, (u2, v2) in enumerate(pairs):
             if a >= b:
                 continue
-            u_ok = u1 == u2 or g.has_edge(u1, u2)
-            v_ok = v1 == v2 or h.has_edge(v1, v2)
+            u_ok = u1 == u2 or u2 in g.adjacency[u1]
+            v_ok = v1 == v2 or v2 in h.adjacency[v1]
             if u_ok and v_ok:
                 edges.add((a, b))
     return edges
