@@ -35,9 +35,12 @@ EXIT_MISMATCH = 3
 EXHAUSTIVE_N_CAP = 16  # verify builds 2^n members for every exhaustive rim length n
 N_MAX_CAP = 64  # and about 5(n + 1) sampled ones, each an exact V = 2n solve, for every larger n
 # compute's exact and spectral methods hold V x V matrices (the resistances, the
-# grounded inverse, numpy's Laplacian); at V = 1600 a prism member, whose tree
-# count has the most bits per vertex of the families, took 34 s and 1.1 GB
-# under --method all on one core of a 2-vCPU host, growing as V^3
+# grounded inverse, numpy's Laplacian), and the exact solve grows as V^3. The
+# worst case at the cap is a graph with no twin pairing, which the exact solve
+# cannot halve: a random graph of average degree 4.5 at V = 1600 took 699 s and
+# 1.1 GB under --method exact on a 2-vCPU host shared with another job. A prism
+# member at V = 1600 splits into twins and took 2.4-2.7 s (11-21 s beside that job)
+# and 300 MB under --method all
 DENSE_VERTEX_CAP = 1600
 # compute --method closed-form prints tau, which has about 1.08 n digits, and
 # int-to-str is quadratic in the digits: 0.21 s at n = 10^5 and 20 s at 10^6 on a 2-vCPU VM
@@ -459,8 +462,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_ratio(args) -> int:
-    if args.family not in ("gn", "grn"):
-        raise _UsageError("ratio supports --family gn or grn")
     given = [x for x in (args.n, args.n_list, args.n_range) if x is not None]
     if len(given) != 1:
         raise _UsageError("give exactly one of --n, --n-list, --n-range")

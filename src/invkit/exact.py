@@ -32,8 +32,9 @@ returning it; `full_report` also certifies Kf <= W, with equality exactly on
 trees.
 
 Strong doubles. When every vertex has a twin, a partner with the same
-neighbors apart from each other, `_twin_split` pairs them off in O(m) and g
-is K_2 strong H, with the vertical edge of each pair in a set D cut. Swapping
+neighbors apart from each other, `_twin_split` pairs them off in O(m), in
+one pass over one table keyed by open and closed neighborhoods, and g is
+K_2 strong H, with the vertical edge of each pair in a set D cut. Swapping
 the pairs splits the Laplacian into A + B = 2 L(H) and A - B = diag(2 s_i),
 s_i = deg_H(i) + 1 - [i in D], so `resistance_matrix` runs the solve above
 on the k = n/2 vertices of H and expands it: tau(g) = 2^(2k-2) tau(H) prod
@@ -268,42 +269,47 @@ def _twin_split(g: Graph) -> tuple[Graph, list[int], list[int]] | None:
 
     Twins u, v have the same neighbors apart from each other: the same open
     neighborhood (false twins, not adjacent) or the same closed one (true
-    twins, adjacent). No vertex has twins of both kinds, since a true twin w
-    and a false twin v of u would make v adjacent to w and so to u. Each
-    class of twins must have even size, and any pairing inside a class will
-    do: between two pairs the four edges are then all present or all absent.
-    So g is K_2 strong H with the verticals of some pairs cut, where the
-    quotient h has one vertex per pair, pairs in order of their lower vertex.
-    half[v] is the pair of vertex v, and cut[i] is 1 when pair i is not
-    adjacent. Graphs with fewer than 4 vertices get None: the quotient of
-    K_2 has one vertex, which the split cannot ground.
+    twins, adjacent). One pass over one table finds them: each vertex looks
+    up its open neighborhood (cut) and its closed one (not cut), pairs with
+    the vertex waiting under that key, and otherwise waits there itself. One
+    table serves both kinds because an open neighborhood never equals a
+    closed one (N(v) = N[w] would put v in N(v)), and no vertex pairs twice
+    because no vertex has twins of both kinds: a true twin w and a false
+    twin v of u would make v adjacent to w and so to u. Any pairing inside a
+    class will do, since between two pairs the four edges are then all
+    present or all absent; a vertex left unpaired, without a twin or from an
+    odd class, leaves fewer than n / 2 pairs. So g is K_2 strong H with the
+    verticals of some pairs cut, where the quotient h has one vertex per
+    pair, pairs in order of their later vertex. half[v] is the pair of
+    vertex v, and cut[i] is 1 when pair i is not adjacent. Graphs with fewer
+    than 4 vertices get None: the quotient of K_2 has one vertex, which the
+    split cannot ground.
     """
     n = g.vertex_count
     if n % 2 or n < 4:
         return None
     adj = g.adjacency
-    by_open: dict[tuple[int, ...], list[int]] = {}
-    by_closed: dict[tuple[int, ...], list[int]] = {}
-    for v, a in enumerate(adj):
-        by_open.setdefault(a, []).append(v)
-        i = bisect_left(a, v)
-        by_closed.setdefault(a[:i] + (v,) + a[i:], []).append(v)
+    waiting: dict[tuple[int, ...], int] = {}
     pairs = []
-    for classes, c in ((by_open, 1), (by_closed, 0)):
-        for members in classes.values():
-            pairs.extend((u, c) for u in zip(members[::2], members[1::2]))
+    for v, a in enumerate(adj):
+        i = bisect_left(a, v)
+        for key, c in ((a, 1), (a[:i] + (v,) + a[i:], 0)):
+            u = waiting.pop(key, None)
+            if u is None:
+                waiting[key] = v
+            else:
+                pairs.append((u, v, c))
     if 2 * len(pairs) != n:  # some vertex has no twin, or some class is odd
         return None
-    pairs.sort()
     half = [0] * n
-    for i, ((u, w), _) in enumerate(pairs):
-        half[u] = half[w] = i
+    for i, (u, v, _) in enumerate(pairs):
+        half[u] = half[v] = i
     quotient = []
-    for i, ((u, _), _) in enumerate(pairs):
+    for i, (u, _, _) in enumerate(pairs):
         nbrs = {half[x] for x in adj[u]}
         nbrs.discard(i)
         quotient.append(tuple(sorted(nbrs)))
-    return Graph(len(pairs), tuple(quotient)), half, [c for _, c in pairs]
+    return Graph(len(pairs), tuple(quotient)), half, [c for _, _, c in pairs]
 
 
 def _twin_resistances(h: Graph, half: list[int], cut: list[int]) -> tuple[list[list[int]], int]:

@@ -73,9 +73,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adjacency) // 2
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
         return [(u, v) for u in range(self.vertex_count) for v in self.adjacency[u] if u < v]

@@ -121,7 +121,7 @@ def _laplacian_rows(g: Graph) -> list[list[int]]:
     n = g.vertex_count
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
-        rows[i][i] = g.degree(i)
+        rows[i][i] = len(g.adjacency[i])
         for j in g.adjacency[i]:
             rows[i][j] = -1
     return rows
@@ -195,7 +195,7 @@ def _dense_grounded_laplacian(g: Graph) -> list[list[int]]:
     k = g.vertex_count - 1
     rows = [[0] * k for _ in range(k)]
     for i in range(1, g.vertex_count):
-        rows[i - 1][i - 1] = g.degree(i)
+        rows[i - 1][i - 1] = len(g.adjacency[i])
         for j in g.adjacency[i]:
             if j >= 1:
                 rows[i - 1][j - 1] = -1

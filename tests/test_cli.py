@@ -95,6 +95,23 @@ def test_compute_json_schema(capsys):
     assert obj["tau"] == 20736
     assert obj["wiener"] == 36
     assert obj["gutman"] == 900
+    # a float field is the double's exact ratio, and a field with no value is null
+    code, out, _ = run(
+        capsys, ["compute", "--family", "gn", "--n", "4", "--method", "spectral", "--format", "json"]
+    )
+    assert code == 0
+    obj = json.loads(out)
+    kf = Fraction(obj["kf_num"], obj["kf_den"])
+    assert abs(kf - Fraction(31, 3)) < 1e-9
+    assert obj["kf_den"] & (obj["kf_den"] - 1) == 0  # a power of two
+    code, out, _ = run(
+        capsys,
+        ["compute", "--family", "grn", "--n", "5", "--deleted", "2,4", "--method", "closed-form", "--format", "json"],
+    )
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["kf_num"], obj["kf_den"]) == (20, 1)
+    assert (obj["kf_star_num"], obj["kf_star_den"], obj["gutman"]) == (None, None, None)
 
 
 def test_compute_spectral_close_to_exact(capsys):
@@ -146,7 +163,11 @@ def test_compute_usage_errors(capsys):
 
 def test_compute_disconnected_input_exits_2(tmp_path, capsys):
     edge_file = tmp_path / "disc.edges"
-    for text, message in [("4 2\n0 1\n2 3\n", "disconnected"), ("1 0\n", "at least 2 vertices")]:
+    for text, message in [
+        ("4 2\n0 1\n2 3\n", "disconnected"),
+        ("5 4\n0 1\n1 2\n0 2\n3 4\n", "input graph is disconnected"),  # enough edges, found by the BFS
+        ("1 0\n", "at least 2 vertices"),
+    ]:
         edge_file.write_text(text)
         for method in ("exact", "spectral", "closed-form", "all"):
             code, out, err = run(capsys, ["compute", "--input", str(edge_file), "--method", method])
@@ -365,6 +386,9 @@ def test_table_usage_errors(capsys):
     assert run(capsys, ["table", "--family", "gn", "--range", "9..3"])[0] == 1
     assert run(capsys, ["table", "--family", "gn", "--range", "2..4"])[0] == 1
     assert run(capsys, ["table", "--family", "gn", "--range", "3..5", "--columns", "bogus"])[0] == 1
+    assert run(capsys, ["table", "--family", "gn", "--range", "3-5"])[0] == 1
+    assert run(capsys, ["table", "--family", "gn", "--range", "a..b"])[0] == 1
+    assert run(capsys, ["table", "--family", "gn"])[0] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +426,8 @@ def test_ratio_usage_errors(capsys):
     assert run(capsys, ["ratio", "--family", "gn", "--n", "3", "--n-list", "4,5"])[0] == 1
     assert run(capsys, ["ratio", "--family", "grn", "--n", "5", "--r", "9"])[0] == 1
     assert run(capsys, ["ratio", "--family", "gn", "--n-list", "a,b"])[0] == 1
+    assert run(capsys, ["ratio", "--family", "cycle", "--n", "5"])[0] == 1
+    assert run(capsys, ["ratio", "--n-range", "5..9", "--step", "0"])[0] == 1
 
 
 @pytest.mark.parametrize(
@@ -518,6 +544,25 @@ def test_compute_all_flags_disagreement(capsys, monkeypatch):
     code, _, err = run(capsys, ["compute", "--family", "gn", "--n", "4", "--method", "all"])
     assert code == 3
     assert "MISMATCH" in err
+
+
+@pytest.mark.parametrize(
+    "name, edit, line",
+    [
+        ("spectral_kf", lambda kf: 2 * kf, "MISMATCH: spectral kf "),
+        ("spectral_kf_star", lambda kf: 2 * kf, "MISMATCH: spectral kf_star "),
+        ("spectral_tree_count", lambda tc: type(tc)(tc.log_value + 1, None), "MISMATCH: spectral tau log "),
+    ],
+    ids=["kf", "kf_star", "tau"],
+)
+def test_compute_all_flags_a_spectral_disagreement(capsys, monkeypatch, name, edit, line):
+    from invkit import spectral
+
+    real = getattr(spectral, name)
+    monkeypatch.setattr(spectral, name, lambda *args: edit(real(*args)))
+    code, _, err = run(capsys, ["compute", "--family", "gn", "--n", "4", "--method", "all"])
+    assert code == 3
+    assert err.startswith(line) and err.count("\n") == 1, err
 
 
 def test_compute_exits_3_when_the_resistances_fail_their_certificate(capsys, monkeypatch):
@@ -651,6 +696,15 @@ def test_verify_parallel_matches_sequential(capsys, monkeypatch):
     code2, out_par, _ = run(capsys, ["verify", "--n-max", "5", "--seed", "9"])
     assert (code, code2) == (0, 0)
     assert out_seq == out_par
+    # a pool that cannot start falls back to one process
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise OSError("no processes")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert run(capsys, ["verify", "--n-max", "5", "--seed", "9"]) == (0, out_seq, "")
 
 
 # ---------------------------------------------------------------------------

@@ -527,6 +527,16 @@ def test_strong_doubles_take_the_twin_route_and_match_the_dense_oracle(monkeypat
         _assert_twin_route_matches(monkeypatch, _strong_double(h, deleted, rng))
 
 
+# From n = 5 on every class of twins is one vertical pair, so the pairing is
+# forced; at n = 3 and 4 some members have classes of four (test below).
+@pytest.mark.parametrize("n", range(5, 9))
+def test_every_prism_member_splits_into_the_cycle_in_rim_order(n):
+    for r in range(n + 1):
+        for deleted in combinations(range(1, n + 1), r):
+            h, half, cut = exact._twin_split(prism_family(PrismSpec(n, frozenset(deleted))))
+            assert (h, half, cut) == (cycle(n), list(range(n)) * 2, [1 if i + 1 in deleted else 0 for i in range(n)])
+
+
 def test_twin_classes_larger_than_two_pair_off_in_any_order(monkeypatch):
     rng = random.Random(233)
     k44 = Graph.from_edges(8, [(i, j) for i in range(4) for j in range(4, 8)])

@@ -226,6 +226,10 @@ def test_parse_out_of_range_vertex():
 def test_parse_malformed_line():
     with pytest.raises(EdgeListParseError):
         parse_edge_list("3 1\n0 1 2")
+    for text, line_no in [("3 1 2\n0 1", 1), ("# header\n0 1\n", 2), ("3 -1\n", 1), ("3 1\n\n0 x\n", 3)]:
+        with pytest.raises(EdgeListParseError) as exc_info:
+            parse_edge_list(text)
+        assert exc_info.value.line_no == line_no, text
 
 
 def test_parse_wrong_edge_count():
