@@ -122,28 +122,24 @@ def _family_member(args) -> tuple[str, int, graphs.PrismSpec | None]:
     if args.method == "closed-form" and n > CLOSED_FORM_N_CAP:
         raise _UsageError(f"--n {n} is above the {CLOSED_FORM_N_CAP} limit of --method closed-form")
     _check_dense_budget(2 * n if fam in ("gn", "grn") else n, args.method, _UsageError)
-    if fam in ("gn", "grn"):
-        deleted: frozenset[int] = frozenset()
-        if fam == "grn":
-            if args.deleted is not None and args.r is not None:
-                raise _UsageError("give either --deleted or --r, not both")
-            if args.deleted is not None:
-                deleted = _parse_deleted(args.deleted, n)
-            elif args.r is not None:
-                if not 0 <= args.r <= n:
-                    raise _UsageError(f"--r must lie in 0..{n}")
-                rng = random.Random(args.seed)
-                deleted = frozenset(rng.sample(range(1, n + 1), args.r))
-        elif args.deleted is not None or args.r is not None:
-            raise _UsageError("--deleted/--r apply only to --family grn")
-        try:
-            return fam, n, graphs.PrismSpec(n, deleted)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
-    least = {"cycle": 3, "path": 1}[fam]  # the smallest n that graphs.cycle and graphs.path accept
-    if n < least:
-        raise _UsageError(f"{fam} needs n >= {least}, got {n}")
-    return fam, n, None
+    if fam != "grn" and (args.deleted is not None or args.r is not None):
+        raise _UsageError("--deleted/--r apply only to --family grn")
+    if fam in ("cycle", "path"):
+        least = {"cycle": 3, "path": 1}[fam]  # the smallest n that graphs.cycle and graphs.path accept
+        if n < least:
+            raise _UsageError(f"{fam} needs n >= {least}, got {n}")
+        return fam, n, None
+    if args.deleted is not None and args.r is not None:
+        raise _UsageError("give either --deleted or --r, not both")
+    deleted = frozenset() if args.deleted is None else _parse_deleted(args.deleted, n)
+    if args.r is not None:
+        if not 0 <= args.r <= n:
+            raise _UsageError(f"--r must lie in 0..{n}")
+        deleted = frozenset(random.Random(args.seed).sample(range(1, n + 1), args.r))
+    try:
+        return fam, n, graphs.PrismSpec(n, deleted)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _family_graph(fam: str, n: int, spec: graphs.PrismSpec | None) -> graphs.Graph:
@@ -203,10 +199,8 @@ def _spectral_fields(g: graphs.Graph) -> tuple[float, float, spectral.TreeCount]
 
 
 def _rel_err(approx: float, truth) -> float:
-    t = float(truth)
-    if t == 0:
-        return abs(approx)
-    return abs(approx - t) / abs(t)
+    t = float(truth)  # an exact Kf or Kf*, positive on every graph compute accepts
+    return abs(approx - t) / t
 
 
 @_full_integers()
@@ -216,13 +210,7 @@ def _emit_record(record: dict, fmt: str) -> None:
         obj = {"family": record["family"], "n": record["n"], "r": record["r"]}
         for name in ("kf", "kf_star"):
             val = record[name]
-            if val is None:
-                num = den = None
-            elif isinstance(val, float):
-                num, den = val.as_integer_ratio()
-            else:
-                frac = Fraction(val)
-                num, den = frac.numerator, frac.denominator
+            num, den = (None, None) if val is None else val.as_integer_ratio()
             obj[f"{name}_num"] = num
             obj[f"{name}_den"] = den
         for name in ("tau", "wiener", "gutman"):
@@ -255,6 +243,8 @@ def cmd_compute(args) -> int:
         raise _UsageError("give exactly one of --family or --input")
     method = args.method
     if args.input is not None:
+        if args.n is not None or args.deleted is not None or args.r is not None:
+            raise _UsageError("--n, --deleted and --r apply only to --family")
         g = _load_input_graph(args.input, method)
         family, n, r = "file", g.vertex_count, None
     else:
@@ -335,6 +325,8 @@ def _parse_range(text: str) -> range:
 
 def cmd_table(args) -> int:
     if args.table is not None:
+        if args.family is not None or args.range is not None or args.columns is not None:
+            raise _UsageError("--table takes no --family, --range or --columns")
         ns, columns, header = _TABLES[args.table]
     else:
         if args.family != "gn":
@@ -342,7 +334,10 @@ def cmd_table(args) -> int:
         if args.range is None:
             raise _UsageError("give --table 1|2 or --family gn --range A..B")
         ns = _parse_range(args.range)
-        columns = [c.strip() for c in (args.columns or "kf,tau").split(",") if c.strip()]
+        text = "kf,tau" if args.columns is None else args.columns
+        columns = [c.strip() for c in text.split(",") if c.strip()]
+        if not columns:
+            raise _UsageError(f"--columns names no column, got {args.columns!r}")
         unknown = [c for c in columns if c not in _COLUMN_FUNCS]
         if unknown:
             raise _UsageError(f"unknown columns {unknown}; choose from kf, tau, kfstar")
@@ -472,18 +467,21 @@ def cmd_ratio(args) -> int:
             ns = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
         except ValueError:
             raise _UsageError(f"--n-list expects integers, got {args.n_list!r}") from None
+        if not ns:
+            raise _UsageError(f"--n-list names no n, got {args.n_list!r}")
     else:
         if args.step < 1:
             raise _UsageError(f"--step must be >= 1, got {args.step}")
         ns = list(_parse_range(args.n_range))[:: args.step]
-    r = args.r if args.family == "grn" else 0
+    if args.family == "gn" and args.r != 0:
+        raise _UsageError("--r applies only to --family grn")
     try:
-        rows = [(n, *closed_form.ratio_report(n, r)) for n in ns]
+        rows = [(n, *closed_form.ratio_report(n, args.r)) for n in ns]
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     print("n,r,ratio,deviation")
     for n, ratio, dev in rows:
-        print(f"{n},{r},{format_fraction(ratio, 6)},{format_fraction(dev, 6)}")
+        print(f"{n},{args.r},{format_fraction(ratio, 6)},{format_fraction(dev, 6)}")
     return EXIT_OK
 
 

@@ -253,17 +253,19 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def _read_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
-    """Validate edge-list text line by line; (n, edges), with nothing yet allocated per vertex."""
-    header = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    expected = None
+    """Validate edge-list text line by line; (n, edges), with nothing yet allocated per vertex.
+
+    Each edge appears once, as (min, max), in file order. One dict keyed by
+    those pairs holds the edges and finds duplicates in either orientation.
+    """
+    n = m = None
+    edges: dict[tuple[int, int], None] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         fields = line.split()
-        if header is None:
+        if n is None:
             if len(fields) != 2:
                 raise EdgeListParseError(line_no, f"expected header 'n m', got {line!r}")
             try:
@@ -272,8 +274,6 @@ def _read_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
                 raise EdgeListParseError(line_no, f"non-integer header {line!r}") from None
             if n < 1 or m < 0:
                 raise EdgeListParseError(line_no, f"invalid header counts n={n} m={m}")
-            header = (n, m)
-            expected = m
             continue
         if len(fields) != 2:
             raise EdgeListParseError(line_no, f"expected 'u v', got {line!r}")
@@ -281,24 +281,22 @@ def _read_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
             u, v = int(fields[0]), int(fields[1])
         except ValueError:
             raise EdgeListParseError(line_no, f"non-integer endpoints {line!r}") from None
-        n = header[0]
         if not (0 <= u < n and 0 <= v < n):
             raise EdgeListParseError(line_no, f"vertex out of range in ({u}, {v}), n={n}")
         if u == v:
             raise EdgeListParseError(line_no, f"self-loop at vertex {u}")
         key = (u, v) if u < v else (v, u)
-        if key in seen:
+        if key in edges:
             raise EdgeListParseError(line_no, f"duplicate edge ({u}, {v})")
-        seen.add(key)
-        edges.append(key)
-    if header is None:
+        edges[key] = None
+    if n is None:
         raise EdgeListParseError(1, "empty input, expected header 'n m'")
-    if len(edges) != expected:
+    if len(edges) != m:
         raise EdgeListParseError(
             len(text.splitlines()) or 1,
-            f"header declared {expected} edges, found {len(edges)}",
+            f"header declared {m} edges, found {len(edges)}",
         )
-    return header[0], edges
+    return n, list(edges)
 
 
 def serialize_edge_list(g: Graph) -> str:

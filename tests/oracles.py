@@ -190,6 +190,19 @@ def random_connected_graph(rng, n: int, extra_edge_prob: float = 0.3) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def random_sparse_graph(rng, v: int) -> Graph:
+    """Random connected graph of average degree 4.5 on v >= 6 vertices.
+
+    A random spanning tree, edge (rng.randrange(i), i) for i = 1..v-1, then
+    uniform random edges until there are round(4.5 v / 2). Seeded CI steps
+    rebuild their inputs from this, so keep its use of rng unchanged.
+    """
+    edges = {(rng.randrange(i), i) for i in range(1, v)}
+    while len(edges) < round(4.5 * v / 2):
+        edges.add(tuple(sorted(rng.sample(range(v), 2))))
+    return Graph.from_edges(v, edges)
+
+
 def _dense_grounded_laplacian(g: Graph) -> list[list[int]]:
     """Laplacian with vertex 0's row and column deleted, natural vertex order."""
     k = g.vertex_count - 1

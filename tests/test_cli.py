@@ -161,6 +161,31 @@ def test_compute_usage_errors(capsys):
     assert run(capsys, ["compute", "--family", "nosuch", "--n", "4"])[0] == 1
 
 
+def test_compute_refuses_options_that_the_family_or_input_does_not_take(tmp_path, capsys):
+    edge_file = tmp_path / "k6.edges"
+    edge_file.write_text(serialize_edge_list(prism_family(PrismSpec(3))))
+    grn_only = "--deleted/--r apply only to --family grn"
+    family_only = "--n, --deleted and --r apply only to --family"
+    for method in ("exact", "spectral", "closed-form", "all"):
+        for argv, message in [
+            (["--family", "cycle", "--n", "5", "--deleted", "2"], grn_only),
+            (["--family", "cycle", "--n", "5", "--r", "1"], grn_only),
+            (["--family", "path", "--n", "5", "--deleted", "2"], grn_only),
+            (["--family", "path", "--n", "5", "--r", "0"], grn_only),
+            (["--input", str(edge_file), "--n", "6"], family_only),
+            (["--input", str(edge_file), "--deleted", "1"], family_only),
+            (["--input", str(edge_file), "--r", "1"], family_only),
+        ]:
+            code, out, err = run(capsys, ["compute", *argv, "--method", method])
+            assert (code, out, err) == (1, "", f"error: {message}\n"), argv
+
+
+@pytest.mark.parametrize("method", ["exact", "all"])
+def test_compute_reports_a_library_value_error_as_a_usage_error(capsys, method):
+    code, out, err = run(capsys, ["compute", "--family", "path", "--n", "1", "--method", method])
+    assert (code, out, err) == (1, "", "error: resistance needs at least 2 vertices\n")
+
+
 def test_compute_disconnected_input_exits_2(tmp_path, capsys):
     edge_file = tmp_path / "disc.edges"
     for text, message in [
@@ -251,6 +276,8 @@ def test_compute_closed_form_validates_without_building_the_graph(capsys, monkey
         (["--family", "path", "--n", "0"], "path needs n >= 1, got 0"),
         (["--family", "path", "--n", "4"], "closed-form method needs --family gn, grn, or cycle"),
         (["--family", "gn", "--n", "5", "--r", "1"], "--deleted/--r apply only to --family grn"),
+        (["--family", "cycle", "--n", "5", "--deleted", "2"], "--deleted/--r apply only to --family grn"),
+        (["--family", "path", "--n", "4", "--r", "1"], "--deleted/--r apply only to --family grn"),
         (["--family", "grn", "--n", "5", "--deleted", "9"], "--deleted positions [9] outside 1..5"),
         (["--family", "grn", "--n", "5", "--deleted", "x"], "--deleted expects comma-separated integers, got 'x'"),
         (["--family", "grn", "--n", "5", "--r", "6"], "--r must lie in 0..5"),
@@ -389,6 +416,14 @@ def test_table_usage_errors(capsys):
     assert run(capsys, ["table", "--family", "gn", "--range", "3-5"])[0] == 1
     assert run(capsys, ["table", "--family", "gn", "--range", "a..b"])[0] == 1
     assert run(capsys, ["table", "--family", "gn"])[0] == 1
+    for argv, message in [
+        (["--table", "1", "--family", "gn"], "--table takes no --family, --range or --columns"),
+        (["--table", "2", "--range", "3..5"], "--table takes no --family, --range or --columns"),
+        (["--table", "1", "--columns", "kf"], "--table takes no --family, --range or --columns"),
+        (["--family", "gn", "--range", "3..5", "--columns", ","], "--columns names no column, got ','"),
+        (["--family", "gn", "--range", "3..5", "--columns", ""], "--columns names no column, got ''"),
+    ]:
+        assert run(capsys, ["table", *argv]) == (1, "", f"error: {message}\n"), argv
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +463,15 @@ def test_ratio_usage_errors(capsys):
     assert run(capsys, ["ratio", "--family", "gn", "--n-list", "a,b"])[0] == 1
     assert run(capsys, ["ratio", "--family", "cycle", "--n", "5"])[0] == 1
     assert run(capsys, ["ratio", "--n-range", "5..9", "--step", "0"])[0] == 1
+    for argv, message in [
+        (["--family", "gn", "--n", "5", "--r", "2"], "--r applies only to --family grn"),
+        (["--n-range", "5..9", "--r", "1"], "--r applies only to --family grn"),
+        (["--family", "gn", "--n-list", ""], "--n-list names no n, got ''"),
+        (["--family", "grn", "--n-list", ","], "--n-list names no n, got ','"),
+    ]:
+        assert run(capsys, ["ratio", *argv]) == (1, "", f"error: {message}\n"), argv
+    code, out, _ = run(capsys, ["ratio", "--family", "gn", "--n", "5", "--r", "0"])
+    assert (code, out.splitlines()[1].split(",")[:2]) == (0, ["5", "0"])
 
 
 @pytest.mark.parametrize(

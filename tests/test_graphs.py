@@ -19,7 +19,7 @@ from invkit import (
     strong_product,
     wiener,
 )
-from invkit.graphs import min_degree_order
+from invkit.graphs import _read_edge_list, min_degree_order
 from oracles import (
     assert_simple_symmetric,
     brute_force_spanning_trees,
@@ -216,6 +216,12 @@ def test_parse_duplicate_edge_rejected():
     with pytest.raises(EdgeListParseError) as exc_info:
         parse_edge_list("3 3\n0 1\n1 0\n1 2")
     assert exc_info.value.line_no == 3
+    assert "duplicate edge (1, 0)" in str(exc_info.value)
+
+
+def test_read_edge_list_keeps_file_order():
+    text = "4 3\n2 3\n# reversed endpoints are stored low first\n1 0\n1 2\n"
+    assert _read_edge_list(text) == (4, [(2, 3), (0, 1), (1, 2)])
 
 
 def test_parse_out_of_range_vertex():

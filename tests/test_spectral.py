@@ -174,6 +174,10 @@ def test_split_rejects_non_involution():
 def test_split_rejects_non_automorphism():
     with pytest.raises(DecompositionError):
         involution_split(path(4), (1, 0, 3, 2))
+    # a fixed-point-free involution that keeps every degree but not the edge {1, 2}
+    for normalized in (False, True):
+        with pytest.raises(DecompositionError, match="not a graph automorphism"):
+            involution_split(cycle(6), (1, 0, 3, 2, 5, 4), normalized=normalized)
 
 
 # ---------------------------------------------------------------------------
