@@ -45,6 +45,7 @@ from .graphs import (
     prism_family,
     rim_swap,
     serialize_edge_list,
+    strong_double,
     strong_product,
 )
 
@@ -89,6 +90,7 @@ __all__ = [
     "spectral_kf",
     "spectral_kf_star",
     "spectral_tree_count",
+    "strong_double",
     "strong_product",
     "tau_gn",
     "tau_grn",

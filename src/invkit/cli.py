@@ -90,15 +90,12 @@ def render_exact(q) -> str:
 # compute
 
 
-def _parse_deleted(text: str, n: int) -> frozenset[int]:
+def _parse_deleted(text: str) -> frozenset[int]:
+    """The positions of --deleted; `graphs.PrismSpec` checks their range."""
     try:
-        positions = frozenset(int(tok) for tok in text.split(",") if tok.strip())
+        return frozenset(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise _UsageError(f"--deleted expects comma-separated integers, got {text!r}") from None
-    bad = [i for i in positions if not 1 <= i <= n]
-    if bad:
-        raise _UsageError(f"--deleted positions {sorted(bad)} outside 1..{n}")
-    return positions
 
 
 def _check_dense_budget(vertex_count: int, method: str, error: type[Exception]) -> None:
@@ -131,11 +128,12 @@ def _family_member(args) -> tuple[str, int, graphs.PrismSpec | None]:
         return fam, n, None
     if args.deleted is not None and args.r is not None:
         raise _UsageError("give either --deleted or --r, not both")
-    deleted = frozenset() if args.deleted is None else _parse_deleted(args.deleted, n)
+    deleted = frozenset() if args.deleted is None else _parse_deleted(args.deleted)
     if args.r is not None:
         if not 0 <= args.r <= n:
             raise _UsageError(f"--r must lie in 0..{n}")
-        deleted = frozenset(random.Random(args.seed).sample(range(1, n + 1), args.r))
+        seed = 0 if args.seed is None else args.seed
+        deleted = frozenset(random.Random(seed).sample(range(1, n + 1), args.r))
     try:
         return fam, n, graphs.PrismSpec(n, deleted)
     except ValueError as exc:
@@ -245,10 +243,17 @@ def cmd_compute(args) -> int:
     if args.input is not None:
         if args.n is not None or args.deleted is not None or args.r is not None:
             raise _UsageError("--n, --deleted and --r apply only to --family")
-        g = _load_input_graph(args.input, method)
-        family, n, r = "file", g.vertex_count, None
+        family = "file"
     else:
         family, n, spec = _family_member(args)
+    if method == "closed-form" and family in ("file", "path"):
+        raise _UsageError("closed-form method needs --family gn, grn, or cycle")
+    if args.seed is not None and args.r is None:
+        raise _UsageError("--seed applies only with --r")
+    if family == "file":
+        g = _load_input_graph(args.input, method)
+        n, r = g.vertex_count, None
+    else:
         r = None if spec is None else spec.r
         # every family member is connected, and the closed forms need only (n, r)
         g = None if method == "closed-form" else _family_graph(family, n, spec)
@@ -262,17 +267,13 @@ def cmd_compute(args) -> int:
     if method in ("exact", "all"):
         exact_rep = exact.full_report(g)
         record.update(_report_fields(exact_rep))
-    if method in ("closed-form", "all"):
-        if family == "file" or family == "path":
-            if method == "closed-form":
-                raise _UsageError("closed-form method needs --family gn, grn, or cycle")
+    if method in ("closed-form", "all") and family not in ("file", "path"):
+        cf = _closed_form_fields(family, n, r)
+        if method == "closed-form":
+            record.update(cf)
         else:
-            cf = _closed_form_fields(family, n, r)
-            if method == "closed-form":
-                record.update(cf)
-            else:
-                for name, want, got in _disagreements(record, cf):
-                    mismatches.append(f"closed-form {name}: expected {want}, exact gave {got}")
+            for name, want, got in _disagreements(record, cf):
+                mismatches.append(f"closed-form {name}: expected {want}, exact gave {got}")
     if method in ("spectral", "all"):
         kf, kf_star, tc = _spectral_fields(g)
         if method == "spectral":
@@ -470,11 +471,14 @@ def cmd_ratio(args) -> int:
         if not ns:
             raise _UsageError(f"--n-list names no n, got {args.n_list!r}")
     else:
-        if args.step < 1:
-            raise _UsageError(f"--step must be >= 1, got {args.step}")
-        ns = list(_parse_range(args.n_range))[:: args.step]
+        step = 1 if args.step is None else args.step
+        if step < 1:
+            raise _UsageError(f"--step must be >= 1, got {step}")
+        ns = list(_parse_range(args.n_range))[::step]
     if args.family == "gn" and args.r != 0:
         raise _UsageError("--r applies only to --family grn")
+    if args.step is not None and args.n_range is None:
+        raise _UsageError("--step applies only with --n-range")
     try:
         rows = [(n, *closed_form.ratio_report(n, args.r)) for n in ns]
     except ValueError as exc:
@@ -501,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--deleted", help="comma-separated vertical-edge positions, 1-based")
     p.add_argument("--r", type=int, help="delete this many random vertical edges")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--input", help="edge-list file")
     p.add_argument("--method", choices=("exact", "spectral", "closed-form", "all"), default="exact")
     p.add_argument("--format", choices=("csv", "json", "markdown"), default="csv")
@@ -525,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--n-list", dest="n_list")
     p.add_argument("--n-range", dest="n_range")
-    p.add_argument("--step", type=int, default=1)
+    p.add_argument("--step", type=int)
     p.add_argument("--r", type=int, default=0)
     p.set_defaults(func=cmd_ratio)
 

@@ -2,9 +2,9 @@
 
 `n` is the rim length (>= 3 throughout); `r` counts deleted vertical edges
 (0 <= r <= n). Every function returns an exact Fraction or int; decimal
-rendering is the CLI's business. The degree-weighted indices of the
-edge-deleted family (r > 0) have no known closed form, so `family_report`
-leaves those fields as None rather than guessing.
+rendering is the CLI's business. For r > 0 the degree-weighted indices
+depend on which verticals are cut, so no formula in (n, r) alone exists,
+and `family_report` leaves those fields as None.
 """
 
 from __future__ import annotations
@@ -92,8 +92,8 @@ def ratio_report(n: int, r: int = 0) -> tuple[Fraction, Fraction]:
 class FamilyFormulaResult:
     """All closed-form invariants available for one (n, r) family member.
 
-    kf_star and gutman are only known in closed form for r = 0 and are None
-    otherwise.
+    kf_star and gutman are None for r > 0: they depend on which verticals are
+    cut, so no formula in (n, r) alone exists.
     """
 
     n: int

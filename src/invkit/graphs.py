@@ -5,9 +5,8 @@ neighbor tuples, so `Graph` values are hashable and safe to share across
 workers. Dense matrices are never stored here; the spectral and exact
 modules build them on demand.
 
-The doubled-cycle family produced by `prism_family` places the lower rim on
-vertices 0..n-1 and the upper rim on n..2n-1, with vertex n+i sitting
-directly above vertex i. `PrismSpec.deleted` uses 1-based rim positions, so
+`prism_family` is `strong_double` of C_n, so vertex n+i sits above vertex i
+on the other rim. `PrismSpec.deleted` uses 1-based rim positions, so
 deleting position i removes the vertical edge {i-1, n+i-1}.
 
 Every breadth-first search in the package is `_bfs`, which `is_connected`
@@ -18,6 +17,7 @@ runs; the distance indices of `exact` grow bitset balls instead.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 
@@ -138,26 +138,28 @@ def strong_product(g: Graph, h: Graph) -> Graph:
     return Graph.from_edges(g.vertex_count * nh, edges)
 
 
-def prism_family(spec: PrismSpec) -> Graph:
-    """Doubled cycle with crossed diagonals, minus the spec's vertical edges.
+def strong_double(h: Graph, cut=frozenset()) -> Graph:
+    """K_2 strong h without the vertical edge {i, k+i} of each vertex i of h in `cut`.
 
-    Builds the edges directly under the canonical labeling: rim edges on both
-    copies of the cycle, the two crossing diagonals per rim edge, and the
-    surviving vertical edges. With nothing deleted the result equals
-    strong_product(path(2), cycle(n)).
+    Copy a of vertex i is vertex a*k + i, k = |V(h)|, as in strong_product(path(2), h).
+    Rows are spliced from h's sorted rows. A cut vertex outside 0..k-1 raises ValueError.
     """
-    n = spec.n
-    edges = []
-    for i in range(n):
-        j = (i + 1) % n
-        edges.append((i, j) if i < j else (j, i))        # lower rim
-        edges.append((n + i, n + j) if i < j else (n + j, n + i))  # upper rim
-        edges.append((i, n + j))                         # crossing diagonals
-        edges.append((j, n + i))
-    for i in range(1, n + 1):
-        if i not in spec.deleted:
-            edges.append((i - 1, n + i - 1))             # vertical
-    return Graph.from_edges(2 * n, edges)
+    k = h.vertex_count
+    if not all(0 <= i < k for i in cut):
+        raise ValueError(f"cut vertices {sorted(cut)} not all in 0..{k - 1}")
+    lower, upper = [], []
+    for i, nb in enumerate(h.adjacency):
+        up = tuple(k + j for j in nb)
+        p = bisect_left(nb, i)
+        joined = i not in cut
+        lower.append(nb + up[:p] + (k + i,) + up[p:] if joined else nb + up)
+        upper.append(nb[:p] + (i,) + nb[p:] + up if joined else nb + up)
+    return Graph(2 * k, tuple(lower + upper))
+
+
+def prism_family(spec: PrismSpec) -> Graph:
+    """Doubled cycle with crossed diagonals, minus the spec's vertical edges: a strong double of C_n."""
+    return strong_double(cycle(spec.n), {i - 1 for i in spec.deleted})
 
 
 def rim_swap(n: int) -> tuple[int, ...]:

@@ -14,6 +14,7 @@ from invkit import PrismSpec, prism_family, serialize_edge_list, tau_gn
 from invkit.cli import format_fraction, main, render_exact
 
 GOLDEN = Path(__file__).parent / "golden"
+CLOSED_FORM_FAMILIES = "closed-form method needs --family gn, grn, or cycle"
 
 
 def run(capsys, argv):
@@ -166,7 +167,10 @@ def test_compute_refuses_options_that_the_family_or_input_does_not_take(tmp_path
     edge_file.write_text(serialize_edge_list(prism_family(PrismSpec(3))))
     grn_only = "--deleted/--r apply only to --family grn"
     family_only = "--n, --deleted and --r apply only to --family"
+    seed_only = "--seed applies only with --r"
     for method in ("exact", "spectral", "closed-form", "all"):
+        # closed-form refuses path and --input first, whatever else is given
+        seed_or_no_closed_form = CLOSED_FORM_FAMILIES if method == "closed-form" else seed_only
         for argv, message in [
             (["--family", "cycle", "--n", "5", "--deleted", "2"], grn_only),
             (["--family", "cycle", "--n", "5", "--r", "1"], grn_only),
@@ -175,9 +179,29 @@ def test_compute_refuses_options_that_the_family_or_input_does_not_take(tmp_path
             (["--input", str(edge_file), "--n", "6"], family_only),
             (["--input", str(edge_file), "--deleted", "1"], family_only),
             (["--input", str(edge_file), "--r", "1"], family_only),
+            (["--family", "cycle", "--n", "5", "--seed", "1"], seed_only),
+            (["--family", "gn", "--n", "5", "--seed", "1"], seed_only),
+            (["--family", "grn", "--n", "5", "--seed", "1"], seed_only),
+            (["--family", "grn", "--n", "5", "--deleted", "2", "--seed", "9"], seed_only),
+            (["--family", "path", "--n", "5", "--seed", "1"], seed_or_no_closed_form),
+            (["--input", str(edge_file), "--seed", "1"], seed_or_no_closed_form),
         ]:
             code, out, err = run(capsys, ["compute", *argv, "--method", method])
             assert (code, out, err) == (1, "", f"error: {message}\n"), argv
+
+
+def test_compute_closed_form_refuses_an_input_before_opening_it(tmp_path, capsys, monkeypatch):
+    from invkit import cli
+
+    def no_load(*args):
+        raise AssertionError("opened the input")
+
+    monkeypatch.setattr(cli, "_load_input_graph", no_load)
+    disconnected = tmp_path / "disc.edges"
+    disconnected.write_text("4 2\n0 1\n2 3\n")
+    for path in (str(tmp_path / "missing.edges"), str(disconnected)):
+        code, out, err = run(capsys, ["compute", "--input", path, "--method", "closed-form"])
+        assert (code, out, err) == (1, "", f"error: {CLOSED_FORM_FAMILIES}\n"), path
 
 
 @pytest.mark.parametrize("method", ["exact", "all"])
@@ -194,7 +218,7 @@ def test_compute_disconnected_input_exits_2(tmp_path, capsys):
         ("1 0\n", "at least 2 vertices"),
     ]:
         edge_file.write_text(text)
-        for method in ("exact", "spectral", "closed-form", "all"):
+        for method in ("exact", "spectral", "all"):
             code, out, err = run(capsys, ["compute", "--input", str(edge_file), "--method", method])
             assert code == 2
             assert out == ""
@@ -214,7 +238,7 @@ def test_compute_refuses_too_few_edges_before_building_the_graph(tmp_path, capsy
     edge_file = tmp_path / "sparse.edges"
     for text in ("1000000000 0\n", "1000000000 2\n0 1\n1 2\n", "5 3\n0 1\n1 2\n3 4\n"):
         edge_file.write_text(text)
-        for method in ("exact", "spectral", "closed-form", "all"):
+        for method in ("exact", "spectral", "all"):
             code, out, err = run(capsys, ["compute", "--input", str(edge_file), "--method", method])
             assert (code, out, err) == (2, "", "error: input graph is disconnected\n")
     # every line is still validated first, so parse errors keep their messages
@@ -278,7 +302,7 @@ def test_compute_closed_form_validates_without_building_the_graph(capsys, monkey
         (["--family", "gn", "--n", "5", "--r", "1"], "--deleted/--r apply only to --family grn"),
         (["--family", "cycle", "--n", "5", "--deleted", "2"], "--deleted/--r apply only to --family grn"),
         (["--family", "path", "--n", "4", "--r", "1"], "--deleted/--r apply only to --family grn"),
-        (["--family", "grn", "--n", "5", "--deleted", "9"], "--deleted positions [9] outside 1..5"),
+        (["--family", "grn", "--n", "5", "--deleted", "9"], "deleted positions [9] outside 1..5"),
         (["--family", "grn", "--n", "5", "--deleted", "x"], "--deleted expects comma-separated integers, got 'x'"),
         (["--family", "grn", "--n", "5", "--r", "6"], "--r must lie in 0..5"),
         (["--family", "grn", "--n", "5", "--r", "1", "--deleted", "1"], "give either --deleted or --r, not both"),
@@ -468,6 +492,8 @@ def test_ratio_usage_errors(capsys):
         (["--n-range", "5..9", "--r", "1"], "--r applies only to --family grn"),
         (["--family", "gn", "--n-list", ""], "--n-list names no n, got ''"),
         (["--family", "grn", "--n-list", ","], "--n-list names no n, got ','"),
+        (["--n", "5", "--step", "3"], "--step applies only with --n-range"),
+        (["--family", "grn", "--n-list", "4,5", "--step", "1", "--r", "1"], "--step applies only with --n-range"),
     ]:
         assert run(capsys, ["ratio", *argv]) == (1, "", f"error: {message}\n"), argv
     code, out, _ = run(capsys, ["ratio", "--family", "gn", "--n", "5", "--r", "0"])
@@ -760,6 +786,8 @@ def test_compute_random_deletion_deterministic(capsys):
     _, first, _ = run(capsys, argv)
     _, second, _ = run(capsys, argv)
     assert first == second
+    # without --seed, --r draws with seed 0
+    assert run(capsys, argv[:-2]) == run(capsys, [*argv[:-2], "--seed", "0"])
 
 
 def test_verify_deterministic_bytes(capsys):

@@ -21,6 +21,7 @@ from invkit import (
     prism_family,
     resistance_matrix,
     spanning_trees,
+    strong_double,
     wiener,
 )
 from invkit import exact
@@ -488,14 +489,10 @@ def test_mult_deg_kirchhoff_is_choice_dependent():
 
 
 def _strong_double(h: Graph, deleted, rng) -> Graph:
-    """K_2 strong h with the verticals of `deleted` cut, its vertices shuffled."""
-    k = h.vertex_count
-    edges = [(i, k + i) for i in range(k) if i not in deleted]
-    for i, j in h.edges():
-        edges += [(i, j), (k + i, k + j), (i, k + j), (j, k + i)]
-    perm = list(range(2 * k))
+    """`strong_double(h, deleted)` with its vertices shuffled."""
+    perm = list(range(2 * h.vertex_count))
     rng.shuffle(perm)
-    return Graph.from_edges(2 * k, [(perm[u], perm[v]) for u, v in edges])
+    return Graph.from_edges(len(perm), [(perm[u], perm[v]) for u, v in strong_double(h, deleted).edges()])
 
 
 def _general_report(monkeypatch, g: Graph):
@@ -504,8 +501,26 @@ def _general_report(monkeypatch, g: Graph):
         return full_report(g)
 
 
+def _assert_split_rebuilds(g: Graph) -> None:
+    """Relabelled so that pair i of `_twin_split` is {i, k + i}, g is the strong double of its split.
+
+    Either vertex of a pair may take i: swapping twins is an automorphism.
+    """
+    split = exact._twin_split(g)
+    assert split is not None, g.edges()
+    h, half, cut = split
+    k = h.vertex_count
+    label = [0] * g.vertex_count
+    seen = set()
+    for v, i in enumerate(half):
+        label[v] = k + i if i in seen else i
+        seen.add(i)
+    relabelled = Graph.from_edges(g.vertex_count, [(label[u], label[v]) for u, v in g.edges()])
+    assert relabelled == strong_double(h, {i for i, c in enumerate(cut) if c}), g.edges()
+
+
 def _assert_twin_route_matches(monkeypatch, g: Graph) -> None:
-    assert exact._twin_split(g) is not None, g.edges()
+    _assert_split_rebuilds(g)
     _assert_matches_dense_oracle(g)
     assert full_report(g) == _general_report(monkeypatch, g), g.edges()
 
@@ -535,6 +550,12 @@ def test_every_prism_member_splits_into_the_cycle_in_rim_order(n):
         for deleted in combinations(range(1, n + 1), r):
             h, half, cut = exact._twin_split(prism_family(PrismSpec(n, frozenset(deleted))))
             assert (h, half, cut) == (cycle(n), list(range(n)) * 2, [1 if i + 1 in deleted else 0 for i in range(n)])
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_every_prism_member_is_the_strong_double_of_its_split(n):
+    for mask in range(2**n):
+        _assert_split_rebuilds(prism_family(PrismSpec(n, frozenset(i + 1 for i in range(n) if mask >> i & 1))))
 
 
 def test_twin_classes_larger_than_two_pair_off_in_any_order(monkeypatch):

@@ -16,6 +16,7 @@ from invkit import (
     prism_family,
     serialize_edge_list,
     spanning_trees,
+    strong_double,
     strong_product,
     wiener,
 )
@@ -25,6 +26,7 @@ from oracles import (
     brute_force_spanning_trees,
     brute_force_wiener,
     random_connected_graph,
+    random_tree,
     reference_min_degree_order,
 )
 
@@ -121,8 +123,25 @@ def test_strong_product_identity_factor():
 
 
 def test_prism_empty_deletion_equals_strong_product():
+    """So does `strong_double` of any h with nothing cut; each cut vertex removes just its vertical."""
     for n in (3, 4, 6, 9):
         assert prism_family(PrismSpec(n)) == strong_product(path(2), cycle(n))
+    rng = random.Random(700)
+    for k in range(1, 15):
+        complete = Graph.from_edges(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
+        for h in [random_tree(rng, k), complete, random_connected_graph(rng, k)] + ([cycle(k)] if k >= 3 else []):
+            intact = strong_product(path(2), h)
+            assert strong_double(h) == intact
+            cut = {i for i in range(k) if rng.random() < 0.5}
+            g = strong_double(h, cut)
+            assert set(g.edges()) == set(intact.edges()) - {(i, k + i) for i in cut}, (h.edges(), cut)
+            assert_simple_symmetric(g)
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_strong_double_rejects_a_cut_vertex_outside_h(bad):
+    with pytest.raises(ValueError, match=r"not all in 0\.\.3"):
+        strong_double(cycle(4), {0, bad})
 
 
 def test_prism_single_deletion_structure():
