@@ -39,8 +39,11 @@ the pairs splits the Laplacian into A + B = 2 L(H) and A - B = diag(2 s_i),
 s_i = deg_H(i) + 1 - [i in D], so `resistance_matrix` runs the solve above
 on the k = n/2 vertices of H and expands it: tau(g) = 2^(2k-2) tau(H) prod
 s_i, two copies of distinct i, j are r^H_ij / 4 + 1/(4 s_i) + 1/(4 s_j)
-apart, and the two copies of i are 1/s_i apart. `full_report` reads Wiener
-and Gutman off H the same way. Graphs with a vertex that has no twin, an odd
+apart, and the two copies of i are 1/s_i apart. The matrix it returns keeps
+that solve, so `pairs_sum` and `weighted_pairs_sum` add up about k^2 small
+entries of H instead of n^2 / 2 big ones of g (for unit weights, Kf(g) =
+Kf(H) + k sum 1/s_i), and `full_report` reads Wiener and Gutman off the
+same H, with no second split. Graphs with a vertex that has no twin, an odd
 class of twins, or fewer than 4 vertices take the general solve, and both
 routes return the same integers. On a prism member, H is a cycle, whose
 grounded inverse holds numbers of a few bits where g's holds hundreds:
@@ -56,10 +59,11 @@ O(diameter * E) word-parallel ORs instead of one BFS per source.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
-from operator import itemgetter
+from operator import itemgetter, mul
+from typing import NamedTuple
 
 from .graphs import DisconnectedGraphError, Graph, degrees, is_connected, min_degree_order
 
@@ -171,34 +175,49 @@ def _inverse_from_u(u: list[dict[int, int]], pivots: list[int]) -> list[list[int
     return y
 
 
+class _TwinSolve(NamedTuple):
+    """The half-size solve behind a twin-route matrix: `_twin_split`'s (h, half, cut) and h's resistances."""
+
+    h: Graph
+    half: list[int]
+    cut: list[int]
+    rho: list[list[int]]  # tau(h) r^h_ij
+    tau: int  # tau(h)
+    s: list[int]  # s_i = deg_h(i) + 1 - cut[i]
+
+
 @dataclass
 class ResistanceMatrix:
     """Exact pairwise effective resistances with a shared denominator.
 
     Entry (i, j) equals num[i][j] / den. `den` is the spanning-tree count of
     the graph, which is the natural common denominator of every resistance.
+    The pair sums run over num on the general route; on the twin route
+    (`_twin_split`) they come from the half-size solve of the quotient,
+    which `resistance_matrix` keeps in a private field that takes no part
+    in comparisons.
     """
 
     order: int
     num: list[list[int]]
     den: int
+    _twin: _TwinSolve | None = field(default=None, repr=False, compare=False)
 
     def entry(self, i: int, j: int) -> Fraction:
         return Fraction(self.num[i][j], self.den)
 
     def pairs_sum(self) -> Fraction:
-        """Sum of resistances over unordered vertex pairs."""
+        """Sum of resistances over unordered vertex pairs: from the quotient on the twin route, else over num."""
+        if self._twin is not None:
+            return Fraction(_twin_pairs_total(self._twin, [1] * self.order), self.den)
         total = sum(sum(row[i + 1 :]) for i, row in enumerate(self.num))
         return Fraction(total, self.den)
 
     def weighted_pairs_sum(self, weights) -> Fraction:
-        """Sum of weights[i] * weights[j] * r_ij over unordered pairs."""
-        total = 0
-        for i in range(self.order):
-            wi = weights[i]
-            row = self.num[i]
-            for j in range(i + 1, self.order):
-                total += wi * weights[j] * row[j]
+        """Sum of weights[i] * weights[j] * r_ij over unordered pairs, read like `pairs_sum`."""
+        if self._twin is not None:
+            return Fraction(_twin_pairs_total(self._twin, weights), self.den)
+        total = sum(weights[i] * sum(map(mul, weights[i + 1 :], row[i + 1 :])) for i, row in enumerate(self.num))
         return Fraction(total, self.den)
 
 
@@ -230,10 +249,17 @@ def resistance_matrix(g: Graph) -> ResistanceMatrix:
     if not is_connected(g):
         raise DisconnectedGraphError("graph is disconnected")
     split = _twin_split(g)
-    num, den = _grounded_resistances(g) if split is None else _twin_resistances(*split)
+    if split is None:
+        twin = None
+        num, den = _grounded_resistances(g)
+    else:
+        h, half, cut = split
+        s = [len(a) + 1 - c for a, c in zip(h.adjacency, cut)]
+        twin = _TwinSolve(h, half, cut, *_grounded_resistances(h), s)
+        num, den = _twin_resistances(twin)
     if sum(num[u][v] for u, v in g.edges()) != (n - 1) * den:
         raise ArithmeticError("resistances fail Foster's theorem: the edge sum is not n - 1")
-    return ResistanceMatrix(order=n, num=num, den=den)
+    return ResistanceMatrix(order=n, num=num, den=den, _twin=twin)
 
 
 def _grounded_resistances(g: Graph) -> tuple[list[list[int]], int]:
@@ -312,8 +338,8 @@ def _twin_split(g: Graph) -> tuple[Graph, list[int], list[int]] | None:
     return Graph(len(pairs), tuple(quotient)), half, [c for _, _, c in pairs]
 
 
-def _twin_resistances(h: Graph, half: list[int], cut: list[int]) -> tuple[list[list[int]], int]:
-    """(num, den) for the strong double of `_twin_split`, from one grounded solve on h.
+def _twin_resistances(q: _TwinSolve) -> tuple[list[list[int]], int]:
+    """(num, den) for the strong double of `_twin_split`, expanded from the grounded solve of h.
 
     Swapping every pair is an automorphism, and it splits the Laplacian of g
     into A + B = 2 L(h) and A - B = diag(2 s_i), with s_i = deg_h(i) + 1 -
@@ -325,26 +351,49 @@ def _twin_resistances(h: Graph, half: list[int], cut: list[int]) -> tuple[list[l
 
     Entries are shared between the rows of the two copies of a pair.
     """
-    k = h.vertex_count
-    rho, tau = _grounded_resistances(h)
-    s = [len(a) + 1 - c for a, c in zip(h.adjacency, cut)]
-    big_s = prod(s)
+    k, tau = q.h.vertex_count, q.tau
+    big_s = prod(q.s)
     shift = 2 * k - 4
     scale = big_s << shift
-    a = [tau * (big_s // si) << shift for si in s]  # 2^(2k-4) tau(h) S/s_i
+    a = [tau * (big_s // si) << shift for si in q.s]  # 2^(2k-4) tau(h) S/s_i
     t = []
-    for i, row in enumerate(rho):
+    for i, row in enumerate(q.rho):
         ai = a[i]
         ti = [scale * r + ai + aj for r, aj in zip(row, a)]
         ti[i] = ai << 2
         t.append(ti)
-    pick = itemgetter(*half)
+    pick = itemgetter(*q.half)
     num = []
-    for v, i in enumerate(half):
+    for v, i in enumerate(q.half):
         row = list(pick(t[i]))
         row[v] = 0
         num.append(row)
     return num, (tau * big_s) << (2 * k - 2)
+
+
+def _twin_pairs_total(q: _TwinSolve, weights) -> int:
+    """Sum of weights[u] * weights[v] * num[u][v] over the unordered pairs of g, in O(k^2) on the quotient.
+
+    Summing `_twin_resistances`' entries by pair, with W_i and P_i the sum
+    and the product of the weights of the two copies of i and S = prod s_i:
+
+        2^(2k-4) [S sum_{i<j} W_i W_j rho_ij + tau(h) sum_i (S/s_i) W_i (sum W - W_i)]
+          + 2^(2k-2) tau(h) sum_i P_i S/s_i
+
+    No weight is assumed equal between the copies of a pair.
+    """
+    k = q.h.vertex_count
+    w, p = [0] * k, [1] * k
+    for x, i in zip(weights, q.half):
+        w[i] += x
+        p[i] *= x
+    big_s = prod(q.s)
+    share = [big_s // si for si in q.s]  # S/s_i
+    total_w = sum(w)
+    between = sum(wi * sum(map(mul, w[i + 1 :], row[i + 1 :])) for i, (wi, row) in enumerate(zip(w, q.rho)))
+    spread = sum(c * wi * (total_w - wi) for c, wi in zip(share, w))
+    within = sum(map(mul, share, p))
+    return ((big_s * between + q.tau * spread) << (2 * k - 4)) + ((q.tau * within) << (2 * k - 2))
 
 
 def kirchhoff_index(g: Graph) -> Fraction:
@@ -433,29 +482,28 @@ def spanning_trees(g: Graph) -> int:
 def full_report(g: Graph) -> InvariantReport:
     """Compute all five invariants exactly; DisconnectedGraphError if g is disconnected.
 
-    When g splits into twin pairs (`_twin_split`), the distance indices come
-    from the quotient h: W(g) = 4 W(h) + k + |D| and Gutman(g) =
-    4 sum_{i<j} e_i e_j dist_h(i, j) + sum_i e_i^2 (1 + cut_i), with e_i
-    the degree in g of either copy of i and D the cut pairs; two copies of i
-    are 1 apart, or 2 when cut.
+    When `resistance_matrix` took the twin route, the pair sums and the
+    distance indices come from its quotient h: W(g) = 4 W(h) + k + |D| and
+    Gutman(g) = 4 sum_{i<j} e_i e_j dist_h(i, j) + sum_i e_i^2 (1 + cut_i),
+    with e_i the degree in g of either copy of i and D the cut pairs; two
+    copies of i are 1 apart, or 2 when cut.
 
     Certifies Kf <= W, with equality exactly on trees (m = n - 1): r_uv <=
     dist(u, v) for every pair, with equality for all pairs only when every
     edge is a bridge. Raises ArithmeticError if that fails.
     """
     rm = resistance_matrix(g)
-    deg = degrees(g)
-    split = _twin_split(g)
-    if split is None:
+    twin = rm._twin
+    if twin is None:
         w, gut = wiener(g), gutman(g)
     else:
-        h, _, cut = split
+        h, cut = twin.h, twin.cut
         e = [2 * len(a) + 1 - c for a, c in zip(h.adjacency, cut)]
         w = 4 * wiener(h) + h.vertex_count + sum(cut)
         gut = 4 * _distance_sum(h, e) + sum(x * x * (1 + c) for x, c in zip(e, cut))
     rep = InvariantReport(
         kf=rm.pairs_sum(),
-        kf_star=rm.weighted_pairs_sum(deg),
+        kf_star=rm.weighted_pairs_sum(degrees(g)),
         wiener=w,
         gutman=gut,
         tree_count=rm.den,

@@ -155,8 +155,13 @@ def test_criterion_2_table2_reproduction():
         assert formula == 25 * kf_gn(n)
         g = prism_family(PrismSpec(n))
         rm = resistance_matrix(g)
-        oracle = rm.weighted_pairs_sum(degrees(g))
+        deg = degrees(g)
+        oracle = rm.weighted_pairs_sum(deg)
         assert oracle == formula, f"n={n}: oracle {oracle} disagrees with formula {formula}"
+        # weighted_pairs_sum reads the quotient on prism members; sum the matrix itself too
+        triangle = sum(deg[i] * deg[j] * row[j] for i, row in enumerate(rm.num) for j in range(i + 1, rm.order))
+        triangle = Fraction(triangle, rm.den)
+        assert triangle == formula, f"n={n}: triangle sum {triangle} disagrees with formula {formula}"
     # exact ratio identity well beyond the table range
     assert all(kf_star_gn(n) == 25 * kf_gn(n) for n in range(3, 301))
     # the n=10 rendering hazard, pinned explicitly: formula and oracle say .83

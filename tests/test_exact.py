@@ -10,6 +10,7 @@ from invkit import (
     DisconnectedGraphError,
     Graph,
     PrismSpec,
+    ResistanceMatrix,
     cycle,
     degrees,
     full_report,
@@ -519,9 +520,40 @@ def _assert_split_rebuilds(g: Graph) -> None:
     assert relabelled == strong_double(h, {i for i, c in enumerate(cut) if c}), g.edges()
 
 
+def _triangle_sum(rm: ResistanceMatrix, weights) -> Fraction:
+    n = rm.order
+    return Fraction(sum(weights[u] * weights[v] * rm.num[u][v] for u in range(n) for v in range(u + 1, n)), rm.den)
+
+
+def _assert_twin_sums_match(g: Graph) -> None:
+    """The pair sums read off the quotient equal triangle sums over num, and the general route's sums.
+
+    The weights include a vector that differs between the two copies of
+    every pair and one with zeros, since the quotient formula assumes
+    neither; the matrix itself equals the general route's.
+    """
+    rm = resistance_matrix(g)
+    assert rm._twin is not None, g.edges()
+    n = g.vertex_count
+    general = ResistanceMatrix(n, *exact._grounded_resistances(g))
+    assert rm == general, g.edges()
+    rng = random.Random(g.edge_count)
+    seen = set()
+    uneven = []
+    for i in rm._twin.half:  # the first copy of each pair weighs even, the second odd
+        uneven.append(2 * rng.randrange(50) + (i in seen))
+        seen.add(i)
+    zeros = [rng.choice((0, 0, rng.randrange(1, 50))) for _ in range(n)]
+    assert rm.pairs_sum() == _triangle_sum(rm, [1] * n) == general.pairs_sum(), g.edges()
+    for weights in ([1] * n, degrees(g), uneven, zeros):
+        want = _triangle_sum(rm, weights)
+        assert rm.weighted_pairs_sum(weights) == want == general.weighted_pairs_sum(weights), (g.edges(), weights)
+
+
 def _assert_twin_route_matches(monkeypatch, g: Graph) -> None:
     _assert_split_rebuilds(g)
     _assert_matches_dense_oracle(g)
+    _assert_twin_sums_match(g)
     assert full_report(g) == _general_report(monkeypatch, g), g.edges()
 
 
@@ -622,3 +654,19 @@ def test_twin_route_resistances_that_fail_foster_raise(monkeypatch):
     monkeypatch.setattr(exact, "_inverse_from_u", corrupted)
     with pytest.raises(ArithmeticError, match="Foster"):
         resistance_matrix(g)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_twin_route_pair_sums_match_triangle_sums_on_every_prism_member(n):
+    for mask in range(2**n):
+        _assert_twin_sums_match(prism_family(PrismSpec(n, frozenset(i + 1 for i in range(n) if mask >> i & 1))))
+
+
+@pytest.mark.parametrize("v", range(2, 31, 4))
+def test_general_route_weighted_pairs_sum_matches_the_triangle_sum(v):
+    rng = random.Random(5000 + v)
+    g = random_connected_graph(rng, v, 0.3)
+    rm = resistance_matrix(g)
+    assert rm._twin is None
+    for weights in ([1] * v, degrees(g), [rng.randrange(-5, 50) for _ in range(v)]):
+        assert rm.weighted_pairs_sum(weights) == _triangle_sum(rm, weights), g.edges()
