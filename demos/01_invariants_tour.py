@@ -1,8 +1,8 @@
 """Tour of the exact invariants on a few small graphs.
 
 Every number printed here is exact: resistances are rationals from an
-integer-only Laplacian solve, distance indices come from BFS, and the
-spanning-tree count is a fraction-free determinant.
+integer-only Laplacian solve, distance indices come from bitset ball
+growth, and the spanning-tree count is a fraction-free determinant.
 """
 
 from invkit import (

@@ -7,9 +7,9 @@ certificate).
 
 `verify` walks one list of prism members; the first member of each (n, r)
 with r in {0, n // 2, n} also runs `spectral.prism_split_disagreements`.
-`spectral`, the one module that imports numpy, and the process pool are
-imported only by the code that uses them, so `table`, `ratio` and the
-exact and closed-form routes of `compute` start without either.
+`spectral`, the one module that imports numpy, is imported only by the code
+that uses it, so `table`, `ratio` and the exact and closed-form routes of
+`compute` start without it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import random
 import sys
 from contextlib import contextmanager
@@ -354,19 +353,6 @@ def cmd_table(args) -> int:
 # verify
 
 
-def _member_disagreements(job: tuple[int, tuple[int, ...], bool]) -> list[tuple[str, object, object]]:
-    """(invariant, expected, got) for each check a prism member fails: exact vs closed form, split if flagged."""
-    n, dset, split = job
-    spec = graphs.PrismSpec(n, frozenset(dset))
-    rep = exact.full_report(graphs.prism_family(spec))
-    found = _disagreements(_report_fields(rep), _report_fields(closed_form.family_report(n, spec.r)))
-    if split:
-        from . import spectral
-
-        found += spectral.prism_split_disagreements(spec)
-    return found
-
-
 def _verify_cases(n_max: int, exhaustive_max: int, rng: random.Random):
     cases: list[tuple[int, tuple[int, ...]]] = []
     for n in range(3, n_max + 1):
@@ -385,23 +371,6 @@ def _verify_cases(n_max: int, exhaustive_max: int, rng: random.Random):
     return cases
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("INVKIT_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _pool_size(requested: int, cpus: int | None, cases: int) -> int:
-    """Worker processes for the sweep: the request, capped at the CPU count and the case count.
-
-    On Linux the pool forks all of its workers up front, so an uncapped
-    INVKIT_THREADS would start that many processes.
-    """
-    return max(1, min(requested, cpus or 1, cases))
-
-
 def cmd_verify(args) -> int:
     if args.n_max < 3:
         raise _UsageError(f"--n-max must be >= 3, got {args.n_max}")
@@ -414,35 +383,26 @@ def cmd_verify(args) -> int:
             f"exhaustive sweep up to n = {min(args.n_max, args.exhaustive_d_max)} is too large; "
             f"lower --exhaustive-d-max or --n-max to {EXHAUSTIVE_N_CAP} or less"
         )
+    from . import spectral
+
     # closed form vs exact oracle: every deletion subset up to the cutoff, sampled
     # above it; r = 0 members also check the weighted indices, and the first
     # member of each (n, r) with r in {0, n // 2, n} checks the spectrum split
     cases = _verify_cases(args.n_max, args.exhaustive_d_max, random.Random(args.seed))
-    seen: set[tuple[int, int]] = set()
-    jobs = []
+    mismatches: list[str] = []
+    split_keys: set[tuple[int, int]] = set()
     for n, dset in cases:
-        jobs.append((n, dset, len(dset) in (0, n // 2, n) and (n, len(dset)) not in seen))
-        seen.add((n, len(dset)))
-    workers = _pool_size(_thread_count(), os.cpu_count(), len(jobs))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_member_disagreements, jobs, chunksize=16))
-        except OSError:
-            results = [_member_disagreements(j) for j in jobs]
-    else:
-        results = [_member_disagreements(j) for j in jobs]
-    mismatches = [
-        f"n={n} D={dset} invariant={name} expected={want} got={got}"
-        for (n, dset, _), found in zip(jobs, results)
-        for name, want, got in found
-    ]
+        spec = graphs.PrismSpec(n, frozenset(dset))
+        rep = exact.full_report(graphs.prism_family(spec))
+        found = _disagreements(_report_fields(rep), _report_fields(closed_form.family_report(n, spec.r)))
+        if spec.r in (0, n // 2, n) and (n, spec.r) not in split_keys:
+            split_keys.add((n, spec.r))
+            found += spectral.prism_split_disagreements(spec)
+        mismatches += [f"n={n} D={dset} invariant={name} expected={want} got={got}" for name, want, got in found]
     intact = sum(1 for _, dset in cases if not dset)
     print(f"intact family, closed form vs exact: {5 * intact} checks")  # all five fields
     print(f"deleted-edge sweep: {len(cases)} members, 3 invariants each")
-    print(f"spectrum split: {sum(split for _, _, split in jobs)} members")
+    print(f"spectrum split: {len(split_keys)} members")
 
     if mismatches:
         for m in mismatches:

@@ -195,10 +195,6 @@ class TreeCount:
     log_value: float
     value: int | None
 
-    @property
-    def fits(self) -> bool:
-        return self.value is not None
-
 
 def spectral_tree_count(eigs, n_vertices: int) -> TreeCount:
     """Spanning-tree count from Laplacian eigenvalues, computed in log space.

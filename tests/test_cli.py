@@ -581,30 +581,6 @@ def test_verify_fully_exhaustive_to_eight(capsys):
     assert "deleted-edge sweep: 504 members" in out
 
 
-def test_thread_count_env_parsing(monkeypatch):
-    from invkit.cli import _thread_count
-
-    monkeypatch.delenv("INVKIT_THREADS", raising=False)
-    assert _thread_count() == 1
-    monkeypatch.setenv("INVKIT_THREADS", "4")
-    assert _thread_count() == 4
-    monkeypatch.setenv("INVKIT_THREADS", "junk")
-    assert _thread_count() == 1
-    monkeypatch.setenv("INVKIT_THREADS", "0")
-    assert _thread_count() == 1
-
-
-def test_pool_size_is_capped_by_cpus_and_cases():
-    from invkit.cli import _pool_size
-
-    assert _pool_size(1, 8, 100) == 1
-    assert _pool_size(4, 8, 100) == 4
-    assert _pool_size(10**6, 2, 100) == 2
-    assert _pool_size(10**6, 64, 3) == 3
-    assert _pool_size(4, None, 100) == 1  # CPU count unknown
-    assert _pool_size(4, 8, 0) == 1
-
-
 def test_compute_all_flags_disagreement(capsys, monkeypatch):
     """compute --method all exits nonzero when a route disagrees."""
     from invkit import closed_form
@@ -760,21 +736,20 @@ def test_verify_predicts_the_spectrum_from_the_cut_set(capsys, monkeypatch):
     }
 
 
-def test_verify_parallel_matches_sequential(capsys, monkeypatch):
-    code, out_seq, _ = run(capsys, ["verify", "--n-max", "5", "--seed", "9"])
-    monkeypatch.setenv("INVKIT_THREADS", "2")
-    code2, out_par, _ = run(capsys, ["verify", "--n-max", "5", "--seed", "9"])
-    assert (code, code2) == (0, 0)
-    assert out_seq == out_par
-    # a pool that cannot start falls back to one process
+def test_verify_runs_in_one_process_whatever_the_environment(capsys, monkeypatch):
+    """verify starts no worker processes, even where an old INVKIT_THREADS is still set."""
     import concurrent.futures
 
-    def no_pool(*args, **kwargs):
-        raise OSError("no processes")
+    monkeypatch.delenv("INVKIT_THREADS", raising=False)
+    _, expected, _ = run(capsys, ["verify", "--n-max", "5", "--seed", "9"])
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    def no_pool(*args, **kwargs):
+        raise AssertionError("verify started a process pool")
+
+    monkeypatch.setenv("INVKIT_THREADS", "2")
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert run(capsys, ["verify", "--n-max", "5", "--seed", "9"]) == (0, out_seq, "")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert run(capsys, ["verify", "--n-max", "5", "--seed", "9"]) == (0, expected, "")
 
 
 # ---------------------------------------------------------------------------
