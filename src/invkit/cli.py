@@ -3,7 +3,10 @@
 Exit codes: 0 success, 1 usage or parameter error, 2 bad or disconnected
 input graph, 3 verification mismatch (including cross-method disagreement
 under `compute --method all`, and an exact result that fails its
-certificate).
+certificate). A subcommand returns 0, or 3 for a mismatch it found; for an
+error it raises, `main` picks the code from the error's type: `ValueError`
+(the CLI's or the library's) 1, `_BadInputError` (its messages name the
+input file) and `DisconnectedGraphError` 2, `ArithmeticError` 3.
 
 `verify` walks one list of prism members; the first member of each (n, r)
 with r in {0, n // 2, n} also runs `spectral.prism_split_disagreements`.
@@ -44,10 +47,6 @@ DENSE_VERTEX_CAP = 1600
 # compute --method closed-form prints tau, which has about 1.08 n digits, and
 # int-to-str is quadratic in the digits: 0.21 s at n = 10^5 and 20 s at 10^6 on a 2-vCPU VM
 CLOSED_FORM_N_CAP = 100_000
-
-
-class _UsageError(Exception):
-    pass
 
 
 class _BadInputError(Exception):
@@ -94,7 +93,7 @@ def _parse_deleted(text: str) -> frozenset[int]:
     try:
         return frozenset(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
-        raise _UsageError(f"--deleted expects comma-separated integers, got {text!r}") from None
+        raise ValueError(f"--deleted expects comma-separated integers, got {text!r}") from None
 
 
 def _check_dense_budget(vertex_count: int, method: str, error: type[Exception]) -> None:
@@ -112,31 +111,28 @@ def _family_member(args) -> tuple[str, int, graphs.PrismSpec | None]:
     spec is the prism member for gn and grn, and None for cycle and path.
     """
     if args.n is None:
-        raise _UsageError("--family requires --n")
+        raise ValueError("--family requires --n")
     n = args.n
     fam = args.family
     if args.method == "closed-form" and n > CLOSED_FORM_N_CAP:
-        raise _UsageError(f"--n {n} is above the {CLOSED_FORM_N_CAP} limit of --method closed-form")
-    _check_dense_budget(2 * n if fam in ("gn", "grn") else n, args.method, _UsageError)
+        raise ValueError(f"--n {n} is above the {CLOSED_FORM_N_CAP} limit of --method closed-form")
+    _check_dense_budget(2 * n if fam in ("gn", "grn") else n, args.method, ValueError)
     if fam != "grn" and (args.deleted is not None or args.r is not None):
-        raise _UsageError("--deleted/--r apply only to --family grn")
+        raise ValueError("--deleted/--r apply only to --family grn")
     if fam in ("cycle", "path"):
         least = {"cycle": 3, "path": 1}[fam]  # the smallest n that graphs.cycle and graphs.path accept
         if n < least:
-            raise _UsageError(f"{fam} needs n >= {least}, got {n}")
+            raise ValueError(f"{fam} needs n >= {least}, got {n}")
         return fam, n, None
     if args.deleted is not None and args.r is not None:
-        raise _UsageError("give either --deleted or --r, not both")
+        raise ValueError("give either --deleted or --r, not both")
     deleted = frozenset() if args.deleted is None else _parse_deleted(args.deleted)
     if args.r is not None:
         if not 0 <= args.r <= n:
-            raise _UsageError(f"--r must lie in 0..{n}")
+            raise ValueError(f"--r must lie in 0..{n}")
         seed = 0 if args.seed is None else args.seed
         deleted = frozenset(random.Random(seed).sample(range(1, n + 1), args.r))
-    try:
-        return fam, n, graphs.PrismSpec(n, deleted)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    return fam, n, graphs.PrismSpec(n, deleted)
 
 
 def _family_graph(fam: str, n: int, spec: graphs.PrismSpec | None) -> graphs.Graph:
@@ -237,18 +233,18 @@ def _emit_record(record: dict, fmt: str) -> None:
 
 def cmd_compute(args) -> int:
     if (args.input is None) == (args.family is None):
-        raise _UsageError("give exactly one of --family or --input")
+        raise ValueError("give exactly one of --family or --input")
     method = args.method
     if args.input is not None:
         if args.n is not None or args.deleted is not None or args.r is not None:
-            raise _UsageError("--n, --deleted and --r apply only to --family")
+            raise ValueError("--n, --deleted and --r apply only to --family")
         family = "file"
     else:
         family, n, spec = _family_member(args)
     if method == "closed-form" and family in ("file", "path"):
-        raise _UsageError("closed-form method needs --family gn, grn, or cycle")
+        raise ValueError("closed-form method needs --family gn, grn, or cycle")
     if args.seed is not None and args.r is None:
-        raise _UsageError("--seed applies only with --r")
+        raise ValueError("--seed applies only with --r")
     if family == "file":
         g = _load_input_graph(args.input, method)
         n, r = g.vertex_count, None
@@ -313,34 +309,34 @@ _TABLES = {
 def _parse_range(text: str) -> range:
     parts = text.split("..")
     if len(parts) != 2:
-        raise _UsageError(f"--range expects A..B, got {text!r}")
+        raise ValueError(f"--range expects A..B, got {text!r}")
     try:
         a, b = int(parts[0]), int(parts[1])
     except ValueError:
-        raise _UsageError(f"--range expects integers, got {text!r}") from None
+        raise ValueError(f"--range expects integers, got {text!r}") from None
     if a < 3 or b < a:
-        raise _UsageError(f"--range needs 3 <= A <= B, got {text!r}")
+        raise ValueError(f"--range needs 3 <= A <= B, got {text!r}")
     return range(a, b + 1)
 
 
 def cmd_table(args) -> int:
     if args.table is not None:
         if args.family is not None or args.range is not None or args.columns is not None:
-            raise _UsageError("--table takes no --family, --range or --columns")
+            raise ValueError("--table takes no --family, --range or --columns")
         ns, columns, header = _TABLES[args.table]
     else:
         if args.family != "gn":
-            raise _UsageError("table mode supports --family gn")
+            raise ValueError("table mode supports --family gn")
         if args.range is None:
-            raise _UsageError("give --table 1|2 or --family gn --range A..B")
+            raise ValueError("give --table 1|2 or --family gn --range A..B")
         ns = _parse_range(args.range)
         text = "kf,tau" if args.columns is None else args.columns
         columns = [c.strip() for c in text.split(",") if c.strip()]
         if not columns:
-            raise _UsageError(f"--columns names no column, got {args.columns!r}")
+            raise ValueError(f"--columns names no column, got {args.columns!r}")
         unknown = [c for c in columns if c not in _COLUMN_FUNCS]
         if unknown:
-            raise _UsageError(f"unknown columns {unknown}; choose from kf, tau, kfstar")
+            raise ValueError(f"unknown columns {unknown}; choose from kf, tau, kfstar")
         header = "graph," + ",".join(columns)
     print(header)
     with _full_integers():
@@ -373,13 +369,13 @@ def _verify_cases(n_max: int, exhaustive_max: int, rng: random.Random):
 
 def cmd_verify(args) -> int:
     if args.n_max < 3:
-        raise _UsageError(f"--n-max must be >= 3, got {args.n_max}")
+        raise ValueError(f"--n-max must be >= 3, got {args.n_max}")
     if args.n_max > N_MAX_CAP:
-        raise _UsageError(
+        raise ValueError(
             f"sampled sweep up to n = {args.n_max} is too large; lower --n-max to {N_MAX_CAP} or less"
         )
     if min(args.n_max, args.exhaustive_d_max) > EXHAUSTIVE_N_CAP:
-        raise _UsageError(
+        raise ValueError(
             f"exhaustive sweep up to n = {min(args.n_max, args.exhaustive_d_max)} is too large; "
             f"lower --exhaustive-d-max or --n-max to {EXHAUSTIVE_N_CAP} or less"
         )
@@ -420,29 +416,26 @@ def cmd_verify(args) -> int:
 def cmd_ratio(args) -> int:
     given = [x for x in (args.n, args.n_list, args.n_range) if x is not None]
     if len(given) != 1:
-        raise _UsageError("give exactly one of --n, --n-list, --n-range")
+        raise ValueError("give exactly one of --n, --n-list, --n-range")
     if args.n is not None:
         ns = [args.n]
     elif args.n_list is not None:
         try:
             ns = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
         except ValueError:
-            raise _UsageError(f"--n-list expects integers, got {args.n_list!r}") from None
+            raise ValueError(f"--n-list expects integers, got {args.n_list!r}") from None
         if not ns:
-            raise _UsageError(f"--n-list names no n, got {args.n_list!r}")
+            raise ValueError(f"--n-list names no n, got {args.n_list!r}")
     else:
         step = 1 if args.step is None else args.step
         if step < 1:
-            raise _UsageError(f"--step must be >= 1, got {step}")
-        ns = list(_parse_range(args.n_range))[::step]
+            raise ValueError(f"--step must be >= 1, got {step}")
+        ns = _parse_range(args.n_range)[::step]
     if args.family == "gn" and args.r != 0:
-        raise _UsageError("--r applies only to --family grn")
+        raise ValueError("--r applies only to --family grn")
     if args.step is not None and args.n_range is None:
-        raise _UsageError("--step applies only with --n-range")
-    try:
-        rows = [(n, *closed_form.ratio_report(n, args.r)) for n in ns]
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+        raise ValueError("--step applies only with --n-range")
+    rows = [(n, *closed_form.ratio_report(n, args.r)) for n in ns]
     print("n,r,ratio,deviation")
     for n, ratio, dev in rows:
         print(f"{n},{args.r},{format_fraction(ratio, 6)},{format_fraction(dev, 6)}")
@@ -504,10 +497,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (_BadInputError, graphs.DisconnectedGraphError) as exc:
+    except (_BadInputError, graphs.DisconnectedGraphError) as exc:  # the latter is a ValueError: catch it first
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except ArithmeticError as exc:  # an exact result failed its certificate

@@ -46,9 +46,8 @@ Kf(H) + k sum 1/s_i), and `full_report` reads Wiener and Gutman off the
 same H, with no second split. Graphs with a vertex that has no twin, an odd
 class of twins, or fewer than 4 vertices take the general solve, and both
 routes return the same integers. On a prism member, H is a cycle, whose
-grounded inverse holds numbers of a few bits where g's holds hundreds:
-`full_report` on a member with V = 1000 and half its verticals cut took
-0.5-0.8 s on a 2-vCPU VM, against 5.5-7.0 s for the general solve.
+grounded inverse holds numbers of a few bits where g's holds hundreds
+(the README gives timings of both routes).
 
 Distance-based indices (Wiener, Gutman) never touch the linear algebra.
 `_distance_sum` grows every vertex's ball one level at a time as a

@@ -1,17 +1,17 @@
 """Simple undirected graphs: the core type, family generators, and edge-list I/O.
 
 Vertices are 0-based integers. Adjacency is stored as a tuple of sorted
-neighbor tuples, so `Graph` values are hashable and safe to share across
-workers. Dense matrices are never stored here; the spectral and exact
-modules build them on demand.
+neighbor tuples, so `Graph` values are immutable and hashable. Dense
+matrices are never stored here; the spectral and exact modules build them
+on demand.
 
 `prism_family` is `strong_double` of C_n, so vertex n+i sits above vertex i
 on the other rim. `PrismSpec.deleted` uses 1-based rim positions, so
 deleting position i removes the vertical edge {i-1, n+i-1}.
 
-Every breadth-first search in the package is `_bfs`, which `is_connected`
-runs; the distance indices of `exact` grow bitset balls instead.
-`min_degree_order` gives the exact solve its elimination order and fill.
+`is_connected` is the package's one graph search; the distance indices of
+`exact` grow bitset balls instead. `min_degree_order` gives the exact solve
+its elimination order and fill.
 """
 
 from __future__ import annotations
@@ -167,27 +167,17 @@ def rim_swap(n: int) -> tuple[int, ...]:
     return tuple(range(n, 2 * n)) + tuple(range(n))
 
 
-def _bfs(adjacency, root: int) -> tuple[list[int], list[int]]:
-    """Breadth-first search from `root`: (visiting order, hop distance of every vertex).
-
-    Neighbors are visited in the order `adjacency` lists them. Vertices the
-    search does not reach are missing from the order and have distance -1.
-    """
-    dist = [-1] * len(adjacency)
-    dist[root] = 0
-    order = [root]
-    for u in order:  # order grows while it is read: a queue that keeps its history
-        du = dist[u] + 1
-        for v in adjacency[u]:
-            if dist[v] < 0:
-                dist[v] = du
-                order.append(v)
-    return order, dist
-
-
 def is_connected(g: Graph) -> bool:
     """BFS reachability of every vertex from vertex 0."""
-    return len(_bfs(g.adjacency, 0)[0]) == g.vertex_count
+    seen = [False] * g.vertex_count
+    seen[0] = True
+    order = [0]
+    for u in order:  # order grows while it is read: a queue that keeps its history
+        for v in g.adjacency[u]:
+            if not seen[v]:
+                seen[v] = True
+                order.append(v)
+    return len(order) == g.vertex_count
 
 
 def degrees(g: Graph) -> list[int]:

@@ -11,10 +11,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections import deque
 from fractions import Fraction
 
 from invkit import DisconnectedGraphError, Graph
-from invkit.graphs import _bfs
 
 
 def assert_simple_symmetric(g: Graph) -> None:
@@ -85,8 +85,16 @@ def brute_force_wiener(g: Graph) -> int:
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
     """Hop distance from `source` to every vertex; DisconnectedGraphError if one is unreached."""
-    order, dist = _bfs(g.adjacency, source)
-    if len(order) < g.vertex_count:
+    dist = [-1] * g.vertex_count
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in g.adjacency[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    if -1 in dist:
         raise DisconnectedGraphError("distance is undefined on a disconnected graph")
     return dist
 

@@ -500,6 +500,20 @@ def test_ratio_usage_errors(capsys):
     assert (code, out.splitlines()[1].split(",")[:2]) == (0, ["5", "0"])
 
 
+def test_ratio_range_is_sliced_without_listing_it(capsys):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, ["ratio", "--n-range", "3..2000000", "--step", "1000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["3", "1000003"]
+    assert peak < 5 * 2**20
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -638,18 +652,18 @@ def test_compute_exits_3_when_kf_and_wiener_fail_their_certificate(capsys, monke
     assert "Kf <= W" in err
 
 
-def test_verify_detects_sabotaged_formula(capsys, monkeypatch):
-    """Flipping one closed-form constant must surface as a located mismatch."""
+@pytest.mark.parametrize("formula, invariant", [("kf_grn", "kf"), ("tau_grn", "tau"), ("wiener_grn", "wiener")])
+def test_verify_detects_sabotaged_formula(capsys, monkeypatch, formula, invariant):
+    """A closed form off by one at (n, r) = (5, 1) surfaces as mismatches that name it."""
     from invkit import closed_form
 
-    real = closed_form.kf_grn
-    monkeypatch.setattr(
-        closed_form, "kf_grn", lambda n, r: real(n, r) + (1 if (n, r) == (5, 1) else 0)
-    )
+    real = getattr(closed_form, formula)
+    monkeypatch.setattr(closed_form, formula, lambda n, r: real(n, r) + (1 if (n, r) == (5, 1) else 0))
     code, out, _ = run(capsys, ["verify", "--n-max", "5", "--exhaustive-d-max", "5"])
     assert code == 3
-    assert "MISMATCH" in out
-    assert "n=5" in out and "invariant=kf" in out
+    lines = [line for line in out.splitlines() if line.startswith("MISMATCH")]
+    assert len(lines) == 5  # one for each single cut of the 5-rim
+    assert all(line.startswith("MISMATCH: n=5 D=(") and f" invariant={invariant} " in line for line in lines)
 
 
 @pytest.mark.parametrize("formula, invariant", [("gutman_gn", "gutman"), ("kf_star_gn", "kf_star")])

@@ -23,6 +23,7 @@ from invkit import (
 from invkit.graphs import _read_edge_list, min_degree_order
 from oracles import (
     assert_simple_symmetric,
+    bfs_distances,
     brute_force_spanning_trees,
     brute_force_wiener,
     random_connected_graph,
@@ -39,9 +40,7 @@ def test_cycle_triangle():
 
 
 def test_cycle_four_antipodal_distance():
-    from invkit.graphs import _bfs
-
-    assert _bfs(cycle(4).adjacency, 0)[1][2] == 2
+    assert bfs_distances(cycle(4), 0)[2] == 2
 
 
 def test_cycle_spanning_trees_vs_brute_force():
