@@ -13,7 +13,7 @@ from invkit import (
     path,
     prism_family,
     resistance_matrix,
-    strong_product,
+    strong_double,
 )
 
 
@@ -30,9 +30,10 @@ def show(name, g):
 show("path P5", path(5))
 show("cycle C6", cycle(6))
 
-# The strong product of an edge with a triangle is the complete graph K6:
-# every pair of its 6 vertices can differ in one or both coordinates.
-k6 = strong_product(path(2), cycle(3))
+# strong_double(h) is the strong product P2 boxtimes h of an edge with h. With a
+# triangle it is the complete graph K6: any two of its 6 vertices are equal or
+# adjacent in each coordinate.
+k6 = strong_double(cycle(3))
 show("P2 boxtimes C3 (= K6)", k6)
 
 # The same graph through the family generator, then with one vertical cut.

@@ -46,7 +46,6 @@ from .graphs import (
     rim_swap,
     serialize_edge_list,
     strong_double,
-    strong_product,
 )
 
 __version__ = "0.1.0"
@@ -91,7 +90,6 @@ __all__ = [
     "spectral_kf_star",
     "spectral_tree_count",
     "strong_double",
-    "strong_product",
     "tau_gn",
     "tau_grn",
     "wiener",

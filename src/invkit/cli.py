@@ -156,7 +156,10 @@ def _load_input_graph(path: str, method: str) -> graphs.Graph:
     if len(edges) < n - 1:  # refused before the graph allocates anything for its n vertices
         raise _BadInputError("input graph is disconnected")
     _check_dense_budget(n, method, _BadInputError)
-    return graphs.Graph.from_edges(n, edges)
+    g = graphs.Graph.from_edges(n, edges)
+    if not graphs.is_connected(g):
+        raise _BadInputError("input graph is disconnected")
+    return g
 
 
 def _report_fields(rep: exact.InvariantReport | closed_form.FamilyFormulaResult) -> dict:
@@ -252,8 +255,6 @@ def cmd_compute(args) -> int:
         r = None if spec is None else spec.r
         # every family member is connected, and the closed forms need only (n, r)
         g = None if method == "closed-form" else _family_graph(family, n, spec)
-    if g is not None and not graphs.is_connected(g):
-        raise _BadInputError("input graph is disconnected")
 
     record = {"family": family, "n": n, "r": r, "method": method}
     mismatches: list[str] = []
@@ -306,16 +307,17 @@ _TABLES = {
 }
 
 
-def _parse_range(text: str) -> range:
+def _parse_range(text: str, flag: str) -> range:
+    """The rim lengths A..B of `flag` (--range or --n-range), which its messages name."""
     parts = text.split("..")
     if len(parts) != 2:
-        raise ValueError(f"--range expects A..B, got {text!r}")
+        raise ValueError(f"{flag} expects A..B, got {text!r}")
     try:
         a, b = int(parts[0]), int(parts[1])
     except ValueError:
-        raise ValueError(f"--range expects integers, got {text!r}") from None
+        raise ValueError(f"{flag} expects integers, got {text!r}") from None
     if a < 3 or b < a:
-        raise ValueError(f"--range needs 3 <= A <= B, got {text!r}")
+        raise ValueError(f"{flag} needs 3 <= A <= B, got {text!r}")
     return range(a, b + 1)
 
 
@@ -329,7 +331,7 @@ def cmd_table(args) -> int:
             raise ValueError("table mode supports --family gn")
         if args.range is None:
             raise ValueError("give --table 1|2 or --family gn --range A..B")
-        ns = _parse_range(args.range)
+        ns = _parse_range(args.range, "--range")
         text = "kf,tau" if args.columns is None else args.columns
         columns = [c.strip() for c in text.split(",") if c.strip()]
         if not columns:
@@ -430,7 +432,7 @@ def cmd_ratio(args) -> int:
         step = 1 if args.step is None else args.step
         if step < 1:
             raise ValueError(f"--step must be >= 1, got {step}")
-        ns = _parse_range(args.n_range)[::step]
+        ns = _parse_range(args.n_range, "--n-range")[::step]
     if args.family == "gn" and args.r != 0:
         raise ValueError("--r applies only to --family grn")
     if args.step is not None and args.n_range is None:

@@ -117,31 +117,11 @@ def path(n: int) -> Graph:
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
-def strong_product(g: Graph, h: Graph) -> Graph:
-    """Strong product of two graphs.
-
-    Vertex (u, v) maps to index u * h.vertex_count + v. Two distinct pairs
-    are adjacent iff each coordinate is equal or adjacent in its factor.
-    """
-    nh = h.vertex_count
-    edges = []
-    for u1 in range(g.vertex_count):
-        g_moves = (u1,) + g.adjacency[u1]
-        for v1 in range(nh):
-            a = u1 * nh + v1
-            h_moves = (v1,) + h.adjacency[v1]
-            for u2 in g_moves:
-                for v2 in h_moves:
-                    b = u2 * nh + v2
-                    if b > a:
-                        edges.append((a, b))
-    return Graph.from_edges(g.vertex_count * nh, edges)
-
-
 def strong_double(h: Graph, cut=frozenset()) -> Graph:
-    """K_2 strong h without the vertical edge {i, k+i} of each vertex i of h in `cut`.
+    """The strong product P_2 ⊠ h without the vertical edge {i, k+i} of each vertex i of h in `cut`.
 
-    Copy a of vertex i is vertex a*k + i, k = |V(h)|, as in strong_product(path(2), h).
+    Copy a of vertex i is vertex a*k + i, k = |V(h)|. Two distinct vertices
+    are adjacent iff their vertices of h are equal or adjacent in h.
     Rows are spliced from h's sorted rows. A cut vertex outside 0..k-1 raises ValueError.
     """
     k = h.vertex_count
@@ -163,7 +143,7 @@ def prism_family(spec: PrismSpec) -> Graph:
 
 
 def rim_swap(n: int) -> tuple[int, ...]:
-    """Permutation exchanging the two rims of a 2n-vertex prism-family graph."""
+    """Permutation swapping copies i and n+i of each vertex of any 2n-vertex `strong_double`, e.g. a prism's rims."""
     return tuple(range(n, 2 * n)) + tuple(range(n))
 
 

@@ -435,7 +435,9 @@ def test_table_family_range_columns(capsys):
 def test_table_usage_errors(capsys):
     assert run(capsys, ["table"])[0] == 1
     assert run(capsys, ["table", "--family", "gn", "--range", "9..3"])[0] == 1
-    assert run(capsys, ["table", "--family", "gn", "--range", "2..4"])[0] == 1
+    assert run(capsys, ["table", "--family", "gn", "--range", "2..4"]) == (
+        1, "", "error: --range needs 3 <= A <= B, got '2..4'\n"
+    )
     assert run(capsys, ["table", "--family", "gn", "--range", "3..5", "--columns", "bogus"])[0] == 1
     assert run(capsys, ["table", "--family", "gn", "--range", "3-5"])[0] == 1
     assert run(capsys, ["table", "--family", "gn", "--range", "a..b"])[0] == 1
@@ -494,6 +496,9 @@ def test_ratio_usage_errors(capsys):
         (["--family", "grn", "--n-list", ","], "--n-list names no n, got ','"),
         (["--n", "5", "--step", "3"], "--step applies only with --n-range"),
         (["--family", "grn", "--n-list", "4,5", "--step", "1", "--r", "1"], "--step applies only with --n-range"),
+        (["--n-range", "2..9"], "--n-range needs 3 <= A <= B, got '2..9'"),
+        (["--n-range", "3-5"], "--n-range expects A..B, got '3-5'"),
+        (["--n-range", "a..b"], "--n-range expects integers, got 'a..b'"),
     ]:
         assert run(capsys, ["ratio", *argv]) == (1, "", f"error: {message}\n"), argv
     code, out, _ = run(capsys, ["ratio", "--family", "gn", "--n", "5", "--r", "0"])

@@ -17,7 +17,6 @@ from invkit import (
     serialize_edge_list,
     spanning_trees,
     strong_double,
-    strong_product,
     wiener,
 )
 from invkit.graphs import _read_edge_list, min_degree_order
@@ -95,15 +94,9 @@ def _strong_product_reference(g, h):
     return edges
 
 
-@pytest.mark.parametrize("gf,hf", [(path(2), cycle(3)), (path(3), path(2)), (cycle(4), path(2))])
-def test_strong_product_matches_definition(gf, hf):
-    prod = strong_product(gf, hf)
-    assert set(prod.edges()) == _strong_product_reference(gf, hf)
-    assert_simple_symmetric(prod)
-
-
 def test_strong_product_p2_c3_is_k6():
-    g = strong_product(path(2), cycle(3))
+    g = strong_double(cycle(3))
+    assert set(g.edges()) == _strong_product_reference(path(2), cycle(3))
     assert g.vertex_count == 6
     assert g.edge_count == 15
     assert degrees(g) == [5] * 6
@@ -111,29 +104,24 @@ def test_strong_product_p2_c3_is_k6():
 
 @pytest.mark.parametrize("n", [3, 4, 7, 12])
 def test_strong_product_p2_cn_counts(n):
-    g = strong_product(path(2), cycle(n))
+    g = prism_family(PrismSpec(n))
+    assert set(g.edges()) == _strong_product_reference(path(2), cycle(n))
+    assert_simple_symmetric(g)
     assert g.vertex_count == 2 * n
     assert g.edge_count == 5 * n
 
 
-def test_strong_product_identity_factor():
-    h = cycle(5)
-    assert strong_product(path(1), h) == h
-
-
 def test_prism_empty_deletion_equals_strong_product():
-    """So does `strong_double` of any h with nothing cut; each cut vertex removes just its vertical."""
-    for n in (3, 4, 6, 9):
-        assert prism_family(PrismSpec(n)) == strong_product(path(2), cycle(n))
+    """`strong_double` of any h, C_k (the prism member) among them, is the definition's P_2 ⊠ h; a cut drops its vertical."""
     rng = random.Random(700)
     for k in range(1, 15):
         complete = Graph.from_edges(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
         for h in [random_tree(rng, k), complete, random_connected_graph(rng, k)] + ([cycle(k)] if k >= 3 else []):
-            intact = strong_product(path(2), h)
-            assert strong_double(h) == intact
+            intact = _strong_product_reference(path(2), h)
+            assert set(strong_double(h).edges()) == intact
             cut = {i for i in range(k) if rng.random() < 0.5}
             g = strong_double(h, cut)
-            assert set(g.edges()) == set(intact.edges()) - {(i, k + i) for i in cut}, (h.edges(), cut)
+            assert set(g.edges()) == intact - {(i, k + i) for i in cut}, (h.edges(), cut)
             assert_simple_symmetric(g)
 
 
@@ -267,7 +255,7 @@ def test_parse_empty_input():
 
 
 def test_generators_are_simple_and_symmetric():
-    for g in (cycle(7), path(6), strong_product(path(2), cycle(5)),
+    for g in (cycle(7), path(6), strong_double(cycle(5)),
               prism_family(PrismSpec(6, frozenset({2, 3})))):
         assert_simple_symmetric(g)
 

@@ -29,8 +29,9 @@ from invkit import (
     spectral_kf_star,
     spectral_tree_count,
     spanning_trees,
+    strong_double,
 )
-from oracles import random_connected_graph
+from oracles import random_connected_graph, random_tree
 
 
 def test_laplacian_triangle():
@@ -105,6 +106,20 @@ def test_split_spectrum_union_matches_full():
             split = involution_split(g, rim_swap(n))
             full = eigenvalues_sym(laplacian(g))
             assert np.allclose(split.combined(), full, atol=1e-8, rtol=0)
+
+
+def test_rim_swap_splits_every_strong_double():
+    """block_a = 2 L(H) and block_s = diag(2 s_i), s_i = deg_H(i) + 1 - [i cut], for any H, not only C_n."""
+    rng = random.Random(18)
+    for k in range(2, 13):
+        for h in (random_tree(rng, k), random_connected_graph(rng, k)):
+            cut = {i for i in range(k) if rng.random() < 0.5}
+            g = strong_double(h, cut)
+            split = involution_split(g, rim_swap(k))
+            s = [len(h.adjacency[i]) + 1 - (i in cut) for i in range(k)]
+            assert np.array_equal(split.block_a, 2 * laplacian(h)), (h.edges(), cut)
+            assert np.array_equal(split.block_s, np.diag(2 * np.array(s))), (h.edges(), cut)
+            assert np.allclose(split.combined(), eigenvalues_sym(laplacian(g)), atol=1e-8, rtol=0)
 
 
 def test_split_normalized_regular_case():
