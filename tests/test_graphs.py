@@ -94,9 +94,16 @@ def _strong_product_reference(g, h):
     return edges
 
 
+@pytest.mark.parametrize("gf,hf", [(path(2), cycle(3))])
+def test_strong_product_matches_definition(gf, hf):
+    """`strong_double(h)` is `gf` ⊠ h for the one first factor it builds, gf = P_2."""
+    prod = strong_double(hf)
+    assert set(prod.edges()) == _strong_product_reference(gf, hf)
+    assert_simple_symmetric(prod)
+
+
 def test_strong_product_p2_c3_is_k6():
     g = strong_double(cycle(3))
-    assert set(g.edges()) == _strong_product_reference(path(2), cycle(3))
     assert g.vertex_count == 6
     assert g.edge_count == 15
     assert degrees(g) == [5] * 6
