@@ -44,8 +44,8 @@ N_MAX_CAP = 64  # and about 5(n + 1) sampled ones, each an exact V = 2n solve, f
 # member at V = 1600 splits into twins and took 2.4-2.7 s (11-21 s beside that job)
 # and 300 MB under --method all
 DENSE_VERTEX_CAP = 1600
-# compute --method closed-form prints tau, which has about 1.08 n digits, and
-# int-to-str is quadratic in the digits: 0.21 s at n = 10^5 and 20 s at 10^6 on a 2-vCPU VM
+# compute --method closed-form and table's tau column print tau, which has about 1.08 n digits,
+# and int-to-str is quadratic in the digits: 0.21 s at n = 10^5 and 20 s at 10^6 on a 2-vCPU VM
 CLOSED_FORM_N_CAP = 100_000
 
 
@@ -339,6 +339,8 @@ def cmd_table(args) -> int:
         unknown = [c for c in columns if c not in _COLUMN_FUNCS]
         if unknown:
             raise ValueError(f"unknown columns {unknown}; choose from kf, tau, kfstar")
+        if "tau" in columns and ns[-1] > CLOSED_FORM_N_CAP:
+            raise ValueError(f"--range {args.range} is above the {CLOSED_FORM_N_CAP} limit of the tau column")
         header = "graph," + ",".join(columns)
     print(header)
     with _full_integers():

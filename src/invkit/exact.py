@@ -136,7 +136,7 @@ def _eliminate(rows: list[dict[int, int]]) -> list[int]:
 
 
 def _inverse_from_u(u: list[dict[int, int]], pivots: list[int]) -> list[list[int]]:
-    """Y = det * M^{-1} from the echelon form U of M alone, as a full symmetric matrix.
+    """Y = det * M^{-1} from the echelon form U of M alone, zero-extended at the grounded vertex.
 
     Integer form of the Takahashi, Fagan & Chin (1973) recurrence, summed
     over each row's pattern (Erisman & Tinney 1975). With M = L D L^T (L
@@ -148,11 +148,12 @@ def _inverse_from_u(u: list[dict[int, int]], pivots: list[int]) -> list[list[int
     Rows run bottom-up. Each row's entries right of the diagonal come first,
     as combinations of the finished rows below, and are mirrored into its
     column; the diagonal then reads them. Y is the adjugate of M, so every
-    division is exact, and one that is not raises ArithmeticError.
+    division is exact, and one that is not raises ArithmeticError. Row and
+    column k = len(u), the grounded vertex, are zero.
     """
     k = len(u)
     det = pivots[-1]
-    y = [[0] * k for _ in range(k)]
+    y = [[0] * (k + 1) for _ in range(k + 1)]
     for i in range(k - 1, -1, -1):
         p = pivots[i]
         coeffs = list(u[i].items())[1:]
@@ -175,14 +176,14 @@ def _inverse_from_u(u: list[dict[int, int]], pivots: list[int]) -> list[list[int
 
 
 class _TwinSolve(NamedTuple):
-    """The half-size solve behind a twin-route matrix: `_twin_split`'s (h, half, cut) and h's resistances."""
+    """A twin-route matrix's half-size solve: `_twin_split`'s (h, half, cut), rho and `_twin_resistances`' terms."""
 
     h: Graph
     half: list[int]
     cut: list[int]
     rho: list[list[int]]  # tau(h) r^h_ij
-    tau: int  # tau(h)
-    s: list[int]  # s_i = deg_h(i) + 1 - cut[i]
+    scale: int  # 2^(2k-4) S
+    a: list[int]  # 2^(2k-4) tau(h) S/s_i
 
 
 @dataclass
@@ -253,9 +254,11 @@ def resistance_matrix(g: Graph) -> ResistanceMatrix:
         num, den = _grounded_resistances(g)
     else:
         h, half, cut = split
-        s = [len(a) + 1 - c for a, c in zip(h.adjacency, cut)]
-        twin = _TwinSolve(h, half, cut, *_grounded_resistances(h), s)
-        num, den = _twin_resistances(twin)
+        rho, tau = _grounded_resistances(h)
+        s = [len(nbrs) + 1 - c for nbrs, c in zip(h.adjacency, cut)]
+        big_s, shift = prod(s), 2 * h.vertex_count - 4
+        twin = _TwinSolve(h, half, cut, rho, big_s << shift, [tau * (big_s // si) << shift for si in s])
+        num, den = _twin_resistances(twin), (tau * big_s) << (shift + 2)
     if sum(num[u][v] for u, v in g.edges()) != (n - 1) * den:
         raise ArithmeticError("resistances fail Foster's theorem: the edge sum is not n - 1")
     return ResistanceMatrix(order=n, num=num, den=den, _twin=twin)
@@ -266,16 +269,12 @@ def _grounded_resistances(g: Graph) -> tuple[list[list[int]], int]:
 
     Grounds the last vertex of `min_degree_order`, inverts the reduced
     Laplacian exactly, and assembles r_ij = x_ii + x_jj - 2 x_ij where x is
-    the grounded inverse extended by zeros at the grounded vertex.
+    the grounded inverse, zero at the grounded vertex.
     """
     n = g.vertex_count
     pos, rows = _grounded_rows(g)
     pivots = _eliminate(rows)
     x = _inverse_from_u(rows, pivots)
-    # zero-extend at the grounded vertex, index n - 1
-    for row in x:
-        row.append(0)
-    x.append([0] * n)
     diag = [x[p][p] for p in pos]
     num = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -337,24 +336,21 @@ def _twin_split(g: Graph) -> tuple[Graph, list[int], list[int]] | None:
     return Graph(len(pairs), tuple(quotient)), half, [c for _, _, c in pairs]
 
 
-def _twin_resistances(q: _TwinSolve) -> tuple[list[list[int]], int]:
-    """(num, den) for the strong double of `_twin_split`, expanded from the grounded solve of h.
+def _twin_resistances(q: _TwinSolve) -> list[list[int]]:
+    """num for the strong double of `_twin_split`, expanded from the grounded solve of h.
 
     Swapping every pair is an automorphism, and it splits the Laplacian of g
     into A + B = 2 L(h) and A - B = diag(2 s_i), with s_i = deg_h(i) + 1 -
-    cut[i]. With k = |V(h)|, S = prod s_i and rho_ij = tau(h) r^h_ij:
+    cut[i]. With k = |V(h)|, S = prod s_i and rho_ij = tau(h) r^h_ij, the
+    entry between copies of i and j is t_ij, over den = 2^(2k-2) tau(h) S:
 
-        den = tau(g) = 2^(2k-2) tau(h) S
-        copies of distinct i, j:  num = 2^(2k-4) (S rho_ij + tau(h) (S/s_i + S/s_j))
-        the two copies of i:      num = 2^(2k-2) tau(h) S/s_i, so r = 1/s_i
+        copies of distinct i, j:  t_ij = scale rho_ij + a_i + a_j
+        the two copies of i:      t_ii = 4 a_i, so r = 1/s_i
 
-    Entries are shared between the rows of the two copies of a pair.
+    with scale = 2^(2k-4) S and a_i = 2^(2k-4) tau(h) S/s_i. Entries are
+    shared between the rows of the two copies of a pair.
     """
-    k, tau = q.h.vertex_count, q.tau
-    big_s = prod(q.s)
-    shift = 2 * k - 4
-    scale = big_s << shift
-    a = [tau * (big_s // si) << shift for si in q.s]  # 2^(2k-4) tau(h) S/s_i
+    scale, a = q.scale, q.a
     t = []
     for i, row in enumerate(q.rho):
         ai = a[i]
@@ -367,17 +363,16 @@ def _twin_resistances(q: _TwinSolve) -> tuple[list[list[int]], int]:
         row = list(pick(t[i]))
         row[v] = 0
         num.append(row)
-    return num, (tau * big_s) << (2 * k - 2)
+    return num
 
 
 def _twin_pairs_total(q: _TwinSolve, weights) -> int:
     """Sum of weights[u] * weights[v] * num[u][v] over the unordered pairs of g, in O(k^2) on the quotient.
 
-    Summing `_twin_resistances`' entries by pair, with W_i and P_i the sum
-    and the product of the weights of the two copies of i and S = prod s_i:
+    `_twin_resistances`' table summed by pair, with W_i and P_i the sum and
+    the product of the weights of the two copies of i:
 
-        2^(2k-4) [S sum_{i<j} W_i W_j rho_ij + tau(h) sum_i (S/s_i) W_i (sum W - W_i)]
-          + 2^(2k-2) tau(h) sum_i P_i S/s_i
+        scale sum_{i<j} W_i W_j rho_ij + sum_i a_i W_i (sum W - W_i) + 4 sum_i a_i P_i
 
     No weight is assumed equal between the copies of a pair.
     """
@@ -386,13 +381,9 @@ def _twin_pairs_total(q: _TwinSolve, weights) -> int:
     for x, i in zip(weights, q.half):
         w[i] += x
         p[i] *= x
-    big_s = prod(q.s)
-    share = [big_s // si for si in q.s]  # S/s_i
     total_w = sum(w)
     between = sum(wi * sum(map(mul, w[i + 1 :], row[i + 1 :])) for i, (wi, row) in enumerate(zip(w, q.rho)))
-    spread = sum(c * wi * (total_w - wi) for c, wi in zip(share, w))
-    within = sum(map(mul, share, p))
-    return ((big_s * between + q.tau * spread) << (2 * k - 4)) + ((q.tau * within) << (2 * k - 2))
+    return q.scale * between + sum(ai * (wi * (total_w - wi) + 4 * pi) for ai, wi, pi in zip(q.a, w, p))
 
 
 def kirchhoff_index(g: Graph) -> Fraction:

@@ -220,6 +220,9 @@ def parse_edge_list(text: str) -> Graph:
     First non-comment line is "n m"; each of the following m non-comment
     lines is "u v" with 0 <= u, v < n and u != v. '#' starts a comment line.
     Raises EdgeListParseError with the offending line number on any defect.
+    The graph allocates one set per declared vertex, so a caller reading an
+    untrusted header checks m >= n - 1 first, as the CLI does: fewer edges
+    cannot connect n vertices.
     """
     return Graph.from_edges(*_read_edge_list(text))
 

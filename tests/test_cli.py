@@ -225,6 +225,18 @@ def test_compute_disconnected_input_exits_2(tmp_path, capsys):
             assert message in err
 
 
+def test_a_disconnected_graph_error_from_the_library_exits_2(capsys, monkeypatch):
+    from invkit import exact
+    from invkit.graphs import DisconnectedGraphError
+
+    def disconnected(g):
+        raise DisconnectedGraphError("graph is disconnected")
+
+    monkeypatch.setattr(exact, "full_report", disconnected)
+    code, out, err = run(capsys, ["compute", "--family", "gn", "--n", "4"])
+    assert (code, out, err) == (2, "", "error: graph is disconnected\n")
+
+
 def test_compute_refuses_too_few_edges_before_building_the_graph(tmp_path, capsys, monkeypatch):
     from invkit import graphs
 
@@ -329,6 +341,30 @@ def test_compute_closed_form_refuses_n_above_its_limit_before_any_arithmetic(cap
         code, out, err = run(capsys, ["compute", "--family", family, "--n", str(cap + 1), "--method", "closed-form"])
         assert (code, out) == (1, "")
         assert err == f"error: --n {cap + 1} is above the {cap} limit of --method closed-form\n"
+
+
+def test_table_refuses_a_tau_column_above_the_closed_form_limit(capsys, monkeypatch):
+    from invkit import cli, closed_form
+
+    cap = cli.CLOSED_FORM_N_CAP
+    above = f"{cap + 1}..{cap + 1}"
+    real = closed_form.tau_gn
+
+    def no_tau(n):
+        raise AssertionError("evaluated tau")
+
+    monkeypatch.setattr(closed_form, "tau_gn", no_tau)
+    for columns in ("tau", "kf,tau"):
+        code, out, err = run(capsys, ["table", "--family", "gn", "--range", above, "--columns", columns])
+        assert (code, out) == (1, ""), columns
+        assert err == f"error: --range {above} is above the {cap} limit of the tau column\n"
+    code, out, err = run(capsys, ["table", "--family", "gn", "--range", above, "--columns", "kf"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].startswith(f"G_{cap + 1},")
+    monkeypatch.setattr(closed_form, "tau_gn", real)
+    code, out, err = run(capsys, ["table", "--family", "gn", "--range", f"{cap}..{cap}", "--columns", "tau"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].startswith(f"G_{cap},")
 
 
 def test_compute_malformed_input_exits_2(tmp_path, capsys):
