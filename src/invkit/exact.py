@@ -39,15 +39,15 @@ the pairs splits the Laplacian into A + B = 2 L(H) and A - B = diag(2 s_i),
 s_i = deg_H(i) + 1 - [i in D], so `resistance_matrix` runs the solve above
 on the k = n/2 vertices of H and expands it: tau(g) = 2^(2k-2) tau(H) prod
 s_i, two copies of distinct i, j are r^H_ij / 4 + 1/(4 s_i) + 1/(4 s_j)
-apart, and the two copies of i are 1/s_i apart. The matrix it returns keeps
-that solve, so `pairs_sum` and `weighted_pairs_sum` add up about k^2 small
-entries of H instead of n^2 / 2 big ones of g (for unit weights, Kf(g) =
-Kf(H) + k sum 1/s_i), and `full_report` reads Wiener and Gutman off the
-same H, with no second split. Graphs with a vertex that has no twin, an odd
-class of twins, or fewer than 4 vertices take the general solve, and both
-routes return the same integers. On a prism member, H is a cycle, whose
-grounded inverse holds numbers of a few bits where g's holds hundreds
-(the README gives timings of both routes).
+apart, and the two copies of i are 1/s_i apart. Graphs with a vertex that
+has no twin, an odd class of twins, or fewer than 4 vertices take the
+general solve: the quotient of g by one-vertex classes, which is g. Both
+routes fill one record, `_Quotient`, so `pairs_sum` and `weighted_pairs_sum`
+add up about k^2 small entries of H instead of n^2 / 2 big ones of g (for
+unit weights, Kf(g) = Kf(H) + k sum 1/s_i), `full_report` reads Wiener and
+Gutman off one distance pass on H, and both routes return the same
+integers. On a prism member, H is a cycle, whose grounded inverse holds
+numbers of a few bits where g's holds hundreds (README timings).
 
 Distance-based indices (Wiener, Gutman) never touch the linear algebra.
 `_distance_sum` grows every vertex's ball one level at a time as a
@@ -175,12 +175,16 @@ def _inverse_from_u(u: list[dict[int, int]], pivots: list[int]) -> list[list[int
     return y
 
 
-class _TwinSolve(NamedTuple):
-    """A twin-route matrix's half-size solve: `_twin_split`'s (h, half, cut), rho and `_twin_resistances`' terms."""
+class _Quotient(NamedTuple):
+    """g's quotient h by twin classes, h's solve and `_twin_resistances`' terms, as `resistance_matrix` fills it.
+
+    On the general route the classes are single vertices: h = g, no cuts,
+    scale 1, every a_i 0, and rho is num itself.
+    """
 
     h: Graph
-    half: list[int]
-    cut: list[int]
+    cls: list[int]  # the class of each vertex of g, a vertex of h
+    cut: list[int]  # 1 when the two vertices of class i are not adjacent
     rho: list[list[int]]  # tau(h) r^h_ij
     scale: int  # 2^(2k-4) S
     a: list[int]  # 2^(2k-4) tau(h) S/s_i
@@ -192,33 +196,25 @@ class ResistanceMatrix:
 
     Entry (i, j) equals num[i][j] / den. `den` is the spanning-tree count of
     the graph, which is the natural common denominator of every resistance.
-    The pair sums run over num on the general route; on the twin route
-    (`_twin_split`) they come from the half-size solve of the quotient,
-    which `resistance_matrix` keeps in a private field that takes no part
-    in comparisons.
+    The pair sums are read off the quotient `resistance_matrix` solved on
+    either route (`_Quotient`), a private field outside comparisons.
     """
 
     order: int
     num: list[list[int]]
     den: int
-    _twin: _TwinSolve | None = field(default=None, repr=False, compare=False)
+    _quotient: _Quotient = field(repr=False, compare=False)
 
     def entry(self, i: int, j: int) -> Fraction:
         return Fraction(self.num[i][j], self.den)
 
     def pairs_sum(self) -> Fraction:
-        """Sum of resistances over unordered vertex pairs: from the quotient on the twin route, else over num."""
-        if self._twin is not None:
-            return Fraction(_twin_pairs_total(self._twin, [1] * self.order), self.den)
-        total = sum(sum(row[i + 1 :]) for i, row in enumerate(self.num))
-        return Fraction(total, self.den)
+        """Sum of resistances over unordered vertex pairs, read off the quotient."""
+        return Fraction(_pairs_total(self._quotient, [1] * self.order), self.den)
 
     def weighted_pairs_sum(self, weights) -> Fraction:
-        """Sum of weights[i] * weights[j] * r_ij over unordered pairs, read like `pairs_sum`."""
-        if self._twin is not None:
-            return Fraction(_twin_pairs_total(self._twin, weights), self.den)
-        total = sum(weights[i] * sum(map(mul, weights[i + 1 :], row[i + 1 :])) for i, row in enumerate(self.num))
-        return Fraction(total, self.den)
+        """Sum of weights[i] * weights[j] * r_ij over unordered pairs, read off the quotient."""
+        return Fraction(_pairs_total(self._quotient, weights), self.den)
 
 
 @dataclass
@@ -250,18 +246,18 @@ def resistance_matrix(g: Graph) -> ResistanceMatrix:
         raise DisconnectedGraphError("graph is disconnected")
     split = _twin_split(g)
     if split is None:
-        twin = None
         num, den = _grounded_resistances(g)
+        q = _Quotient(g, list(range(n)), [0] * n, num, 1, [0] * n)
     else:
-        h, half, cut = split
+        h, cls, cut = split
         rho, tau = _grounded_resistances(h)
         s = [len(nbrs) + 1 - c for nbrs, c in zip(h.adjacency, cut)]
         big_s, shift = prod(s), 2 * h.vertex_count - 4
-        twin = _TwinSolve(h, half, cut, rho, big_s << shift, [tau * (big_s // si) << shift for si in s])
-        num, den = _twin_resistances(twin), (tau * big_s) << (shift + 2)
+        q = _Quotient(h, cls, cut, rho, big_s << shift, [tau * (big_s // si) << shift for si in s])
+        num, den = _twin_resistances(q), (tau * big_s) << (shift + 2)
     if sum(num[u][v] for u, v in g.edges()) != (n - 1) * den:
         raise ArithmeticError("resistances fail Foster's theorem: the edge sum is not n - 1")
-    return ResistanceMatrix(order=n, num=num, den=den, _twin=twin)
+    return ResistanceMatrix(n, num, den, q)
 
 
 def _grounded_resistances(g: Graph) -> tuple[list[list[int]], int]:
@@ -289,7 +285,7 @@ def _grounded_resistances(g: Graph) -> tuple[list[list[int]], int]:
 
 
 def _twin_split(g: Graph) -> tuple[Graph, list[int], list[int]] | None:
-    """(h, half, cut) when every vertex of g pairs off with a twin, else None.
+    """(h, cls, cut) when every vertex of g pairs off with a twin, else None.
 
     Twins u, v have the same neighbors apart from each other: the same open
     neighborhood (false twins, not adjacent) or the same closed one (true
@@ -304,7 +300,7 @@ def _twin_split(g: Graph) -> tuple[Graph, list[int], list[int]] | None:
     present or all absent; a vertex left unpaired, without a twin or from an
     odd class, leaves fewer than n / 2 pairs. So g is K_2 strong H with the
     verticals of some pairs cut, where the quotient h has one vertex per
-    pair, pairs in order of their later vertex. half[v] is the pair of
+    pair, pairs in order of their later vertex. cls[v] is the pair of
     vertex v, and cut[i] is 1 when pair i is not adjacent. Graphs with fewer
     than 4 vertices get None: the quotient of K_2 has one vertex, which the
     split cannot ground.
@@ -325,18 +321,18 @@ def _twin_split(g: Graph) -> tuple[Graph, list[int], list[int]] | None:
                 pairs.append((u, v, c))
     if 2 * len(pairs) != n:  # some vertex has no twin, or some class is odd
         return None
-    half = [0] * n
+    cls = [0] * n
     for i, (u, v, _) in enumerate(pairs):
-        half[u] = half[v] = i
+        cls[u] = cls[v] = i
     quotient = []
     for i, (u, _, _) in enumerate(pairs):
-        nbrs = {half[x] for x in adj[u]}
+        nbrs = {cls[x] for x in adj[u]}
         nbrs.discard(i)
         quotient.append(tuple(sorted(nbrs)))
-    return Graph(len(pairs), tuple(quotient)), half, [c for _, _, c in pairs]
+    return Graph(len(pairs), tuple(quotient)), cls, [c for _, _, c in pairs]
 
 
-def _twin_resistances(q: _TwinSolve) -> list[list[int]]:
+def _twin_resistances(q: _Quotient) -> list[list[int]]:
     """num for the strong double of `_twin_split`, expanded from the grounded solve of h.
 
     Swapping every pair is an automorphism, and it splits the Laplacian of g
@@ -357,30 +353,36 @@ def _twin_resistances(q: _TwinSolve) -> list[list[int]]:
         ti = [scale * r + ai + aj for r, aj in zip(row, a)]
         ti[i] = ai << 2
         t.append(ti)
-    pick = itemgetter(*q.half)
+    pick = itemgetter(*q.cls)
     num = []
-    for v, i in enumerate(q.half):
+    for v, i in enumerate(q.cls):
         row = list(pick(t[i]))
         row[v] = 0
         num.append(row)
     return num
 
 
-def _twin_pairs_total(q: _TwinSolve, weights) -> int:
+def _class_sums(q: _Quotient, weights) -> tuple[list[int], list[int]]:
+    """(W, P): for each class i of q, the sum of its vertices' weights and of w_u * w_v over its pairs."""
+    k = q.h.vertex_count
+    w, p = [0] * k, [0] * k
+    for x, i in zip(weights, q.cls):
+        p[i] += w[i] * x
+        w[i] += x
+    return w, p
+
+
+def _pairs_total(q: _Quotient, weights) -> int:
     """Sum of weights[u] * weights[v] * num[u][v] over the unordered pairs of g, in O(k^2) on the quotient.
 
-    `_twin_resistances`' table summed by pair, with W_i and P_i the sum and
-    the product of the weights of the two copies of i:
+    `_twin_resistances`' table summed by pair, with W_i and P_i from `_class_sums`:
 
         scale sum_{i<j} W_i W_j rho_ij + sum_i a_i W_i (sum W - W_i) + 4 sum_i a_i P_i
 
-    No weight is assumed equal between the copies of a pair.
+    No weight is assumed equal inside a class. On the general route this is
+    the weighted sum over num itself.
     """
-    k = q.h.vertex_count
-    w, p = [0] * k, [1] * k
-    for x, i in zip(weights, q.half):
-        w[i] += x
-        p[i] *= x
+    w, p = _class_sums(q, weights)
     total_w = sum(w)
     between = sum(wi * sum(map(mul, w[i + 1 :], row[i + 1 :])) for i, (wi, row) in enumerate(zip(w, q.rho)))
     return q.scale * between + sum(ai * (wi * (total_w - wi) + 4 * pi) for ai, wi, pi in zip(q.a, w, p))
@@ -472,30 +474,28 @@ def spanning_trees(g: Graph) -> int:
 def full_report(g: Graph) -> InvariantReport:
     """Compute all five invariants exactly; DisconnectedGraphError if g is disconnected.
 
-    When `resistance_matrix` took the twin route, the pair sums and the
-    distance indices come from its quotient h: W(g) = 4 W(h) + k + |D| and
-    Gutman(g) = 4 sum_{i<j} e_i e_j dist_h(i, j) + sum_i e_i^2 (1 + cut_i),
-    with e_i the degree in g of either copy of i and D the cut pairs; two
-    copies of i are 1 apart, or 2 when cut.
+    Every sum is read off `resistance_matrix`'s quotient h (on the general
+    route, g by one-vertex classes). Distinct classes i, j are dist_h(i, j)
+    apart and the two vertices of class i 1, or 2 when cut, so with
+    `_class_sums`' W_i, P_i and the class size c = n / |V(h)|, W and Gutman
+    are c^2 (the pass on h with weights W_i / c) + sum_i P_i (1 + cut_i). On
+    the twin route W(g) = 4 W(h) + k + |D| and Gutman(g) = 4 sum_{i<j} e_i
+    e_j dist_h(i, j) + sum_i e_i^2 (1 + cut_i), as twins share a degree e_i;
+    dividing out c before the pass halves its bits.
 
     Certifies Kf <= W, with equality exactly on trees (m = n - 1): r_uv <=
     dist(u, v) for every pair, with equality for all pairs only when every
     edge is a bridge. Raises ArithmeticError if that fails.
     """
     rm = resistance_matrix(g)
-    twin = rm._twin
-    if twin is None:
-        w, gut = wiener(g), gutman(g)
-    else:
-        h, cut = twin.h, twin.cut
-        e = [2 * len(a) + 1 - c for a, c in zip(h.adjacency, cut)]
-        w = 4 * wiener(h) + h.vertex_count + sum(cut)
-        gut = 4 * _distance_sum(h, e) + sum(x * x * (1 + c) for x, c in zip(e, cut))
+    q, deg = rm._quotient, degrees(g)
+    c = g.vertex_count // q.h.vertex_count
+    (_, p1), (e, pe) = _class_sums(q, [1] * g.vertex_count), _class_sums(q, deg)
     rep = InvariantReport(
         kf=rm.pairs_sum(),
-        kf_star=rm.weighted_pairs_sum(degrees(g)),
-        wiener=w,
-        gutman=gut,
+        kf_star=rm.weighted_pairs_sum(deg),
+        wiener=c * c * wiener(q.h) + sum(x * (1 + t) for x, t in zip(p1, q.cut)),
+        gutman=c * c * _distance_sum(q.h, [x // c for x in e]) + sum(x * (1 + t) for x, t in zip(pe, q.cut)),
         tree_count=rm.den,
     )
     if rep.kf > rep.wiener or (rep.kf == rep.wiener) != (g.edge_count == g.vertex_count - 1):

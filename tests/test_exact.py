@@ -496,10 +496,11 @@ def _strong_double(h: Graph, deleted, rng) -> Graph:
     return Graph.from_edges(len(perm), [(perm[u], perm[v]) for u, v in strong_double(h, deleted).edges()])
 
 
-def _general_report(monkeypatch, g: Graph):
+def _general_route(monkeypatch, fn, g: Graph):
+    """fn(g) with the twin split switched off, so that g takes the general solve."""
     with monkeypatch.context() as m:
         m.setattr(exact, "_twin_split", lambda g: None)
-        return full_report(g)
+        return fn(g)
 
 
 def _assert_split_rebuilds(g: Graph) -> None:
@@ -508,7 +509,7 @@ def _assert_split_rebuilds(g: Graph) -> None:
     Either vertex of a pair may take i: swapping twins is an automorphism.
     """
     split = exact._twin_split(g)
-    assert split is not None, g.edges()
+    assert split is not None, "g does not split into twin pairs"
     h, half, cut = split
     k = h.vertex_count
     label = [0] * g.vertex_count
@@ -517,7 +518,8 @@ def _assert_split_rebuilds(g: Graph) -> None:
         label[v] = k + i if i in seen else i
         seen.add(i)
     relabelled = Graph.from_edges(g.vertex_count, [(label[u], label[v]) for u, v in g.edges()])
-    assert relabelled == strong_double(h, {i for i, c in enumerate(cut) if c}), g.edges()
+    deleted = {i for i, c in enumerate(cut) if c}
+    assert relabelled == strong_double(h, deleted), "g is not the strong double of its split"
 
 
 def _triangle_sum(rm: ResistanceMatrix, weights) -> Fraction:
@@ -525,36 +527,49 @@ def _triangle_sum(rm: ResistanceMatrix, weights) -> Fraction:
     return Fraction(sum(weights[u] * weights[v] * rm.num[u][v] for u in range(n) for v in range(u + 1, n)), rm.den)
 
 
-def _assert_twin_sums_match(g: Graph) -> None:
+def _assert_twin_sums_match(monkeypatch, g: Graph) -> None:
     """The pair sums read off the quotient equal triangle sums over num, and the general route's sums.
 
     The weights include a vector that differs between the two copies of
     every pair and one with zeros, since the quotient formula assumes
     neither; the matrix itself equals the general route's.
     """
+    split = exact._twin_split(g)
+    assert split is not None, "g does not split into twin pairs"
     rm = resistance_matrix(g)
-    assert rm._twin is not None, g.edges()
+    general = _general_route(monkeypatch, resistance_matrix, g)
+    assert rm == general, "matrix equality: the twin route's num or den differs from the general solve's"
     n = g.vertex_count
-    general = ResistanceMatrix(n, *exact._grounded_resistances(g))
-    assert rm == general, g.edges()
     rng = random.Random(g.edge_count)
     seen = set()
     uneven = []
-    for i in rm._twin.half:  # the first copy of each pair weighs even, the second odd
+    for i in split[1]:  # the first copy of each pair weighs even, the second odd
         uneven.append(2 * rng.randrange(50) + (i in seen))
         seen.add(i)
     zeros = [rng.choice((0, 0, rng.randrange(1, 50))) for _ in range(n)]
-    assert rm.pairs_sum() == _triangle_sum(rm, [1] * n) == general.pairs_sum(), g.edges()
-    for weights in ([1] * n, degrees(g), uneven, zeros):
+    assert rm.pairs_sum() == _triangle_sum(rm, [1] * n) == general.pairs_sum(), (
+        "pairs_sum: the twin route, the sum over num and the general solve disagree"
+    )
+    for kind, weights in (("unit", [1] * n), ("degree", degrees(g)), ("uneven", uneven), ("zeros", zeros)):
         want = _triangle_sum(rm, weights)
-        assert rm.weighted_pairs_sum(weights) == want == general.weighted_pairs_sum(weights), (g.edges(), weights)
+        assert rm.weighted_pairs_sum(weights) == want == general.weighted_pairs_sum(weights), (
+            f"weighted_pairs_sum, {kind} weights: the twin route, the sum over num and the general solve disagree"
+        )
+
+
+def _assert_report_matches(monkeypatch, g: Graph) -> None:
+    """full_report equals the general solve's report, and its distance indices one BFS per source."""
+    rep = full_report(g)
+    assert rep == _general_route(monkeypatch, full_report, g), "full_report differs from the general solve's report"
+    assert rep.wiener == bfs_distance_sum(g, [1] * g.vertex_count), "full_report's wiener differs from the BFS oracle"
+    assert rep.gutman == bfs_distance_sum(g, degrees(g)), "full_report's gutman differs from the BFS oracle"
 
 
 def _assert_twin_route_matches(monkeypatch, g: Graph) -> None:
     _assert_split_rebuilds(g)
     _assert_matches_dense_oracle(g)
-    _assert_twin_sums_match(g)
-    assert full_report(g) == _general_report(monkeypatch, g), g.edges()
+    _assert_twin_sums_match(monkeypatch, g)
+    _assert_report_matches(monkeypatch, g)
 
 
 def _quotients(k: int, rng):
@@ -620,9 +635,10 @@ def _petersen() -> Graph:
     ],
     ids=["K2", "K13", "K33", "K5", "petersen", "C6"],
 )
-def test_graphs_without_a_twin_pairing_take_the_general_route(g):
+def test_graphs_without_a_twin_pairing_take_the_general_route(monkeypatch, g):
     assert exact._twin_split(g) is None
     _assert_matches_dense_oracle(g)
+    _assert_report_matches(monkeypatch, g)
 
 
 def test_random_graphs_take_the_general_route():
@@ -657,16 +673,17 @@ def test_twin_route_resistances_that_fail_foster_raise(monkeypatch):
 
 
 @pytest.mark.parametrize("n", range(3, 9))
-def test_twin_route_pair_sums_match_triangle_sums_on_every_prism_member(n):
+def test_twin_route_pair_sums_match_triangle_sums_on_every_prism_member(monkeypatch, n):
     for mask in range(2**n):
-        _assert_twin_sums_match(prism_family(PrismSpec(n, frozenset(i + 1 for i in range(n) if mask >> i & 1))))
+        deleted = frozenset(i + 1 for i in range(n) if mask >> i & 1)
+        _assert_twin_sums_match(monkeypatch, prism_family(PrismSpec(n, deleted)))
 
 
 @pytest.mark.parametrize("v", range(2, 31, 4))
 def test_general_route_weighted_pairs_sum_matches_the_triangle_sum(v):
     rng = random.Random(5000 + v)
     g = random_connected_graph(rng, v, 0.3)
+    assert exact._twin_split(g) is None
     rm = resistance_matrix(g)
-    assert rm._twin is None
     for weights in ([1] * v, degrees(g), [rng.randrange(-5, 50) for _ in range(v)]):
         assert rm.weighted_pairs_sum(weights) == _triangle_sum(rm, weights), g.edges()
