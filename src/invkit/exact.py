@@ -42,12 +42,13 @@ s_i, two copies of distinct i, j are r^H_ij / 4 + 1/(4 s_i) + 1/(4 s_j)
 apart, and the two copies of i are 1/s_i apart. Graphs with a vertex that
 has no twin, an odd class of twins, or fewer than 4 vertices take the
 general solve: the quotient of g by one-vertex classes, which is g. Both
-routes fill one record, `_Quotient`, so `pairs_sum` and `weighted_pairs_sum`
-add up about k^2 small entries of H instead of n^2 / 2 big ones of g (for
-unit weights, Kf(g) = Kf(H) + k sum 1/s_i), `full_report` reads Wiener and
-Gutman off one distance pass on H, and both routes return the same
-integers. On a prism member, H is a cycle, whose grounded inverse holds
-numbers of a few bits where g's holds hundreds (README timings).
+routes fill one record, `_Quotient`, with H's grounded inverse X, from
+which `_expand` builds num, and `pairs_sum` and `weighted_pairs_sum` add up
+about k^2 small entries instead of n^2 / 2 big ones of num (for unit
+weights, Kf(g) = Kf(H) + k sum 1/s_i). `full_report` reads Wiener and
+Gutman off one distance pass on H. Both routes return the same integers.
+On a prism member, H is a cycle, whose grounded inverse holds numbers of
+a few bits where g's holds hundreds (README timings).
 
 Distance-based indices (Wiener, Gutman) never touch the linear algebra.
 `_distance_sum` grows every vertex's ball one level at a time as a
@@ -176,16 +177,16 @@ def _inverse_from_u(u: list[dict[int, int]], pivots: list[int]) -> list[list[int
 
 
 class _Quotient(NamedTuple):
-    """g's quotient h by twin classes, h's solve and `_twin_resistances`' terms, as `resistance_matrix` fills it.
+    """g's quotient h by twin classes, h's grounded inverse and the split's terms, as `resistance_matrix` fills it.
 
     On the general route the classes are single vertices: h = g, no cuts,
-    scale 1, every a_i 0, and rho is num itself.
+    scale 1 and every a_i 0. `_expand` builds num from it on both routes.
     """
 
     h: Graph
     cls: list[int]  # the class of each vertex of g, a vertex of h
     cut: list[int]  # 1 when the two vertices of class i are not adjacent
-    rho: list[list[int]]  # tau(h) r^h_ij
+    x: list[list[int]]  # tau(h) M_h^{-1} by vertex of h, zero at the grounded vertex
     scale: int  # 2^(2k-4) S
     a: list[int]  # 2^(2k-4) tau(h) S/s_i
 
@@ -196,8 +197,9 @@ class ResistanceMatrix:
 
     Entry (i, j) equals num[i][j] / den. `den` is the spanning-tree count of
     the graph, which is the natural common denominator of every resistance.
-    The pair sums are read off the quotient `resistance_matrix` solved on
-    either route (`_Quotient`), a private field outside comparisons.
+    The pair sums are read off the grounded inverse of the quotient
+    `resistance_matrix` solved on either route (`_Quotient`, a private field
+    outside comparisons), never off num.
     """
 
     order: int
@@ -232,12 +234,12 @@ def resistance_matrix(g: Graph) -> ResistanceMatrix:
     """Exact effective resistance between every vertex pair.
 
     When every vertex of g has a twin (`_twin_split`), solves the half-size
-    quotient H and expands its resistances by the rim-swap split; otherwise
-    solves g itself. Either way the result is num[i][j] / den with den the
-    spanning-tree count, so the two routes return identical matrices. Before
-    returning it checks Foster's theorem over g's edges, sum of r_uv = n - 1,
-    and raises ArithmeticError if that fails. Raises DisconnectedGraphError
-    on disconnected input.
+    quotient H; otherwise solves g itself. `_expand` builds num from the
+    solve's grounded inverse on both routes. Either way the result is
+    num[i][j] / den with den the spanning-tree count, so the two routes
+    return identical matrices. Before returning it checks Foster's theorem
+    over g's edges, sum of r_uv = n - 1, and raises ArithmeticError if that
+    fails. Raises DisconnectedGraphError on disconnected input.
     """
     n = g.vertex_count
     if n < 2:
@@ -246,42 +248,31 @@ def resistance_matrix(g: Graph) -> ResistanceMatrix:
         raise DisconnectedGraphError("graph is disconnected")
     split = _twin_split(g)
     if split is None:
-        num, den = _grounded_resistances(g)
-        q = _Quotient(g, list(range(n)), [0] * n, num, 1, [0] * n)
+        x, den = _grounded_inverse(g)
+        q = _Quotient(g, list(range(n)), [0] * n, x, 1, [0] * n)
     else:
         h, cls, cut = split
-        rho, tau = _grounded_resistances(h)
+        x, tau = _grounded_inverse(h)
         s = [len(nbrs) + 1 - c for nbrs, c in zip(h.adjacency, cut)]
         big_s, shift = prod(s), 2 * h.vertex_count - 4
-        q = _Quotient(h, cls, cut, rho, big_s << shift, [tau * (big_s // si) << shift for si in s])
-        num, den = _twin_resistances(q), (tau * big_s) << (shift + 2)
+        q = _Quotient(h, cls, cut, x, big_s << shift, [tau * (big_s // si) << shift for si in s])
+        den = (tau * big_s) << (shift + 2)
+    num = _expand(q)
     if sum(num[u][v] for u, v in g.edges()) != (n - 1) * den:
         raise ArithmeticError("resistances fail Foster's theorem: the edge sum is not n - 1")
     return ResistanceMatrix(n, num, den, q)
 
 
-def _grounded_resistances(g: Graph) -> tuple[list[list[int]], int]:
-    """(num, det) for a connected g: num[i][j] = det * r_ij, det the spanning-tree count.
+def _grounded_inverse(g: Graph) -> tuple[list[list[int]], int]:
+    """(x, det) for a connected g: x = det * M^{-1} by vertex, det the spanning-tree count.
 
-    Grounds the last vertex of `min_degree_order`, inverts the reduced
-    Laplacian exactly, and assembles r_ij = x_ii + x_jj - 2 x_ij where x is
-    the grounded inverse, zero at the grounded vertex.
+    M is g's Laplacian grounded at the last vertex of `min_degree_order`;
+    that vertex's row and column of x are zero. x is in vertex order.
     """
-    n = g.vertex_count
     pos, rows = _grounded_rows(g)
     pivots = _eliminate(rows)
-    x = _inverse_from_u(rows, pivots)
-    diag = [x[p][p] for p in pos]
-    num = [[0] * n for _ in range(n)]
-    for i in range(n):
-        di = diag[i]
-        xi = x[pos[i]]
-        row = num[i]
-        for j in range(i + 1, n):
-            val = di + diag[j] - 2 * xi[pos[j]]
-            row[j] = val
-            num[j][i] = val
-    return num, pivots[-1]
+    pick, y = itemgetter(*pos), _inverse_from_u(rows, pivots)
+    return [list(pick(y[p])) for p in pos], pivots[-1]
 
 
 def _twin_split(g: Graph) -> tuple[Graph, list[int], list[int]] | None:
@@ -332,33 +323,29 @@ def _twin_split(g: Graph) -> tuple[Graph, list[int], list[int]] | None:
     return Graph(len(pairs), tuple(quotient)), cls, [c for _, _, c in pairs]
 
 
-def _twin_resistances(q: _Quotient) -> list[list[int]]:
-    """num for the strong double of `_twin_split`, expanded from the grounded solve of h.
+def _expand(q: _Quotient) -> list[list[int]]:
+    """num for g from the grounded inverse x of its quotient h, on either route.
 
-    Swapping every pair is an automorphism, and it splits the Laplacian of g
-    into A + B = 2 L(h) and A - B = diag(2 s_i), with s_i = deg_h(i) + 1 -
-    cut[i]. With k = |V(h)|, S = prod s_i and rho_ij = tau(h) r^h_ij, the
-    entry between copies of i and j is t_ij, over den = 2^(2k-2) tau(h) S:
-
-        copies of distinct i, j:  t_ij = scale rho_ij + a_i + a_j
-        the two copies of i:      t_ii = 4 a_i, so r = 1/s_i
-
-    with scale = 2^(2k-4) S and a_i = 2^(2k-4) tau(h) S/s_i. Entries are
-    shared between the rows of the two copies of a pair.
+    With d_i = scale x_ii + a_i, over den, vertices of distinct classes i, j
+    are t_ij = d_i + d_j - 2 scale x_ij apart and the two vertices of class
+    i are t_ii = 4 a_i apart. On the twin route that is r^h_ij / 4 +
+    1/(4 s_i) + 1/(4 s_j) and 1/s_i; on the general one (scale 1, every a_i
+    0) it is x_ii + x_jj - 2 x_ij. t is built over its upper triangle and
+    mirrored. With one-vertex classes it is num; otherwise each row of num
+    is picked from t by class.
     """
-    scale, a = q.scale, q.a
+    scale2, a, x = q.scale << 1, q.a, q.x
+    d = [q.scale * row[i] + ai for i, (row, ai) in enumerate(zip(x, a))]
     t = []
-    for i, row in enumerate(q.rho):
-        ai = a[i]
-        ti = [scale * r + ai + aj for r, aj in zip(row, a)]
-        ti[i] = ai << 2
-        t.append(ti)
+    for i, (di, xi) in enumerate(zip(d, x)):
+        upper = [di + dj - scale2 * xij for dj, xij in zip(d[i + 1 :], xi[i + 1 :])]
+        t.append([row[i] for row in t] + [a[i] << 2] + upper)
+    if len(q.cls) == len(t):
+        return t
     pick = itemgetter(*q.cls)
-    num = []
-    for v, i in enumerate(q.cls):
-        row = list(pick(t[i]))
+    num = [list(pick(t[i])) for i in q.cls]
+    for v, row in enumerate(num):
         row[v] = 0
-        num.append(row)
     return num
 
 
@@ -375,17 +362,22 @@ def _class_sums(q: _Quotient, weights) -> tuple[list[int], list[int]]:
 def _pairs_total(q: _Quotient, weights) -> int:
     """Sum of weights[u] * weights[v] * num[u][v] over the unordered pairs of g, in O(k^2) on the quotient.
 
-    `_twin_resistances`' table summed by pair, with W_i and P_i from `_class_sums`:
+    `_expand`'s table summed by pair, with its d_i and with W_i, P_i from `_class_sums`:
 
-        scale sum_{i<j} W_i W_j rho_ij + sum_i a_i W_i (sum W - W_i) + 4 sum_i a_i P_i
+        sum_i W_i (sum W - W_i) d_i - 2 scale sum_{i<j} W_i W_j x_ij + 4 sum_i a_i P_i
 
-    No weight is assumed equal inside a class. On the general route this is
-    the weighted sum over num itself.
+    No weight is assumed equal inside a class. When all W_i are equal, the
+    middle sum is W_0^2 sum_{i<j} x_ij, so unit weights on the general route
+    give n tr x - 1^T x 1.
     """
     w, p = _class_sums(q, weights)
-    total_w = sum(w)
-    between = sum(wi * sum(map(mul, w[i + 1 :], row[i + 1 :])) for i, (wi, row) in enumerate(zip(w, q.rho)))
-    return q.scale * between + sum(ai * (wi * (total_w - wi) + 4 * pi) for ai, wi, pi in zip(q.a, w, p))
+    total_w, scale, x = sum(w), q.scale, q.x
+    if w.count(w[0]) == len(w):
+        between = w[0] * w[0] * sum(sum(row[i + 1 :]) for i, row in enumerate(x))
+    else:
+        between = sum(wi * sum(map(mul, w[i + 1 :], row[i + 1 :])) for i, (wi, row) in enumerate(zip(w, x)))
+    ends = sum(wi * (total_w - wi) * (scale * row[i] + ai) for i, (wi, row, ai) in enumerate(zip(w, x, q.a)))
+    return ends - 2 * scale * between + 4 * sum(map(mul, q.a, p))
 
 
 def kirchhoff_index(g: Graph) -> Fraction:

@@ -532,7 +532,8 @@ def _assert_twin_sums_match(monkeypatch, g: Graph) -> None:
 
     The weights include a vector that differs between the two copies of
     every pair and one with zeros, since the quotient formula assumes
-    neither; the matrix itself equals the general route's.
+    neither, and equal non-unit weights, which take its plain-sum branch;
+    the matrix itself equals the general route's.
     """
     split = exact._twin_split(g)
     assert split is not None, "g does not split into twin pairs"
@@ -550,7 +551,8 @@ def _assert_twin_sums_match(monkeypatch, g: Graph) -> None:
     assert rm.pairs_sum() == _triangle_sum(rm, [1] * n) == general.pairs_sum(), (
         "pairs_sum: the twin route, the sum over num and the general solve disagree"
     )
-    for kind, weights in (("unit", [1] * n), ("degree", degrees(g)), ("uneven", uneven), ("zeros", zeros)):
+    kinds = (("unit", [1] * n), ("degree", degrees(g)), ("uneven", uneven), ("zeros", zeros), ("equal", [3] * n))
+    for kind, weights in kinds:
         want = _triangle_sum(rm, weights)
         assert rm.weighted_pairs_sum(weights) == want == general.weighted_pairs_sum(weights), (
             f"weighted_pairs_sum, {kind} weights: the twin route, the sum over num and the general solve disagree"
@@ -679,11 +681,37 @@ def test_twin_route_pair_sums_match_triangle_sums_on_every_prism_member(monkeypa
         _assert_twin_sums_match(monkeypatch, prism_family(PrismSpec(n, deleted)))
 
 
+def _assert_general_sums_match(g: Graph, rng) -> None:
+    """On the general route, the pair sums read off the grounded inverse equal triangle sums over num.
+
+    The weights are unit, degree, uneven (drawn from rng, negatives
+    included) and equal non-unit ones.
+    """
+    assert exact._twin_split(g) is None, "g splits into twin pairs"
+    rm = resistance_matrix(g)
+    n = g.vertex_count
+    assert rm.pairs_sum() == _triangle_sum(rm, [1] * n), "pairs_sum differs from the sum over num"
+    uneven = [rng.randrange(-5, 50) for _ in range(n)]
+    for kind, weights in (("unit", [1] * n), ("degree", degrees(g)), ("uneven", uneven), ("equal", [3] * n)):
+        assert rm.weighted_pairs_sum(weights) == _triangle_sum(rm, weights), (
+            f"weighted_pairs_sum, {kind} weights: differs from the sum over num"
+        )
+
+
 @pytest.mark.parametrize("v", range(2, 31, 4))
 def test_general_route_weighted_pairs_sum_matches_the_triangle_sum(v):
     rng = random.Random(5000 + v)
-    g = random_connected_graph(rng, v, 0.3)
-    assert exact._twin_split(g) is None
+    _assert_general_sums_match(random_connected_graph(rng, v, 0.3), rng)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [prism_family(PrismSpec(6, frozenset({1, 3}))), random_connected_graph(random.Random(251), 12, 0.3)],
+    ids=["twin", "general"],
+)
+def test_pair_sums_do_not_read_num(g):
     rm = resistance_matrix(g)
-    for weights in ([1] * v, degrees(g), [rng.randrange(-5, 50) for _ in range(v)]):
-        assert rm.weighted_pairs_sum(weights) == _triangle_sum(rm, weights), g.edges()
+    sums = (rm.pairs_sum(), rm.weighted_pairs_sum(degrees(g)))
+    rm.num[0][1] += 1
+    rm.num[1][0] += 1
+    assert (rm.pairs_sum(), rm.weighted_pairs_sum(degrees(g))) == sums
