@@ -16,20 +16,28 @@ the integers:
   read. Its pivots are the leading principal minors of M; the last is
   det(M), the spanning-tree count (matrix-tree theorem), which doubles as
   the common denominator of every resistance.
-- Inverse from U. `_inverse_from_u` reads Y = det(M) * M^{-1} off U by an
-  integer Takahashi recurrence summed over each row's pattern, so no
-  right-hand side is eliminated and no back substitution runs. Every
-  division is checked exact, and the lone rational division happens when an
-  entry is read out.
+- Reads off U. Y = det(M) * M^{-1} comes off U by an integer Takahashi
+  recurrence summed over each row's pattern, so no right-hand side is
+  eliminated and no back substitution runs. `_selected_inverse` runs it on
+  the pattern and the diagonal only, which is what the pair sums and
+  Foster's theorem read; `_inverse_from_u` runs it over all of Y, for num.
+  `_bordered_form` gets w^T Y w by one fraction-free forward solve over U,
+  the elimination of M bordered by w. Every division is exact, and the lone
+  rational division happens when a value is read out.
 
-With c_s the pattern size of row s, the tree count costs O(sum c_s^2)
-big-integer operations and the dense inverse O(k nnz(U)), for k = n - 1.
-On a random graph with V = 200 and average degree 4.5, U holds about 2,400
-entries off the diagonal; on a prism member with V = 200, about 690. The
-solve checks connectivity first, by one BFS, and
-`resistance_matrix` certifies its result by Foster's theorem before
-returning it; `full_report` also certifies Kf <= W, with equality exactly on
-trees.
+With c_s the pattern size of row s, the tree count and the selected inverse
+each cost about sum c_s^2 big-integer products, a forward solve about
+nnz(U), and the whole inverse k nnz(U), for k = n - 1. On a random graph
+with V = 200 and average degree 4.5, U holds about 2,400 entries off the
+diagonal (sum c_s^2 is about 60,000); on a prism member with V = 200, about
+690. Kf and Kf* times tau are sum w * sum_v w_v Y_vv - w^T Y w for unit and
+degree weights w, so `full_report` on the general route never builds the
+whole inverse or num: `ResistanceMatrix.num` does on first read. The solve
+checks connectivity first, by one BFS. On the general route
+`resistance_matrix` certifies the selected entries by Foster's theorem
+before returning; num is certified the same way when it is built, on
+either route, and `full_report` also certifies Kf <= W, with equality
+exactly on trees.
 
 Strong doubles. When every vertex has a twin, a partner with the same
 neighbors apart from each other, `_twin_split` pairs them off in O(m), in
@@ -42,13 +50,16 @@ s_i, two copies of distinct i, j are r^H_ij / 4 + 1/(4 s_i) + 1/(4 s_j)
 apart, and the two copies of i are 1/s_i apart. Graphs with a vertex that
 has no twin, an odd class of twins, or fewer than 4 vertices take the
 general solve: the quotient of g by one-vertex classes, which is g. Both
-routes fill one record, `_Quotient`, with H's grounded inverse X, from
-which `_expand` builds num, and `pairs_sum` and `weighted_pairs_sum` add up
-about k^2 small entries instead of n^2 / 2 big ones of num (for unit
-weights, Kf(g) = Kf(H) + k sum 1/s_i). `full_report` reads Wiener and
-Gutman off one distance pass on H. Both routes return the same integers.
-On a prism member, H is a cycle, whose grounded inverse holds numbers of
-a few bits where g's holds hundreds (README timings).
+routes fill one record, `_Quotient`, with H's factor and the diagonal of
+its grounded inverse X. `pairs_sum` and `weighted_pairs_sum` read the
+diagonal and one forward solve over H (for unit weights, Kf(g) = Kf(H) + k
+sum 1/s_i), and `_expand` builds num from the whole X. The twin route
+builds X and num at once and takes the diagonal off X; the general route
+takes it off the selected inverse and builds num on first read.
+`full_report` reads Wiener and Gutman off one distance pass on H. Both
+routes return the same integers. On a prism member, H is a cycle, whose
+grounded inverse holds numbers of a few bits where g's holds hundreds
+(README timings).
 
 Distance-based indices (Wiener, Gutman) never touch the linear algebra.
 `_distance_sum` grows every vertex's ball one level at a time as a
@@ -176,36 +187,167 @@ def _inverse_from_u(u: list[dict[int, int]], pivots: list[int]) -> list[list[int
     return y
 
 
+def _selected_inverse(u: list[dict[int, int]], pivots: list[int]) -> list[dict[int, int]]:
+    """Y = det * M^{-1} on the pattern of U and the diagonal, from U alone.
+
+    `_inverse_from_u`'s recurrence restricted to the row patterns (selected
+    inversion): z[i][j] = Y[i][j] for j = i, for j in pattern(i) and, by
+    symmetry, for i in pattern(j). Row i reads Y[t][j] for t, j in
+    pattern(i) only, and a row pattern is a clique of the filled graph, so
+    that entry is in z[t] by the time row i runs (bottom-up). The cost is
+    about sum c_i^2 products for pattern sizes c_i, against k nnz(U) for the
+    whole inverse. Every division is checked exact, as there.
+    """
+    det = pivots[-1]
+    z: list[dict[int, int]] = [{} for _ in u]
+    for i in range(len(u) - 1, -1, -1):
+        p = pivots[i]
+        coeffs = list(u[i].items())[1:]
+        cols = [t for t, _ in coeffs]
+        acc = [0] * len(cols)  # minus the sum, for every j in pattern(i)
+        for t, c in coeffs:
+            if c:
+                acc = [s - c * x for s, x in zip(acc, map(z[t].__getitem__, cols))]
+        zi = z[i]
+        for j, s in zip(cols, acc):
+            q, r = divmod(s, p)
+            if r:
+                raise ArithmeticError("selected inverse lost exactness")
+            zi[j] = z[j][i] = q
+        q, r = divmod(det * (pivots[i - 1] if i else 1) - sum(c * zi[t] for t, c in coeffs), p)
+        if r:
+            raise ArithmeticError("selected inverse lost exactness")
+        zi[i] = q
+    return z
+
+
+def _bordered_form(u: list[dict[int, int]], pivots: list[int], b: list[int]) -> int:
+    """b^T adj(M) b from the echelon form U of M, by one fraction-free forward solve.
+
+    Border M with the column b, its transpose and a zero corner. Bareiss
+    over M's k pivots leaves the corner at the bordered determinant,
+    -b^T adj(M) b (the Schur complement). Row s of U holds step s's
+    multipliers, so with p_{-1} = 1, step s does
+
+        corner <- (p_s corner - b_s^2) / p_{s-1}
+        b_i <- (p_s b_i - U[s][i] b_s) / p_{s-1}   for U[s][i] != 0
+
+    and every other b_i, which would merely be rescaled, catches up when it
+    is next read, as in `_eliminate`. About nnz(U) products.
+    """
+    p = [1, *pivots]  # p[s] = p_{s-1}
+    b = list(b)
+    done = [0] * len(b)  # b[i] is current as of step done[i]
+    corner = 0
+    for s, row in enumerate(u):
+        scale, pivot = p[s], p[s + 1]
+        bs = b[s] * scale // p[done[s]]
+        corner = (pivot * corner - bs * bs) // scale
+        if not bs:
+            continue
+        for i, m in list(row.items())[1:]:
+            if m:
+                t = done[i]
+                bi = b[i] if t == s else b[i] * scale // p[t]
+                b[i] = (pivot * bi - m * bs) // scale
+                done[i] = s + 1
+    return -corner
+
+
+class _Factor(NamedTuple):
+    """A connected graph's grounded Laplacian M, eliminated by `_eliminate`.
+
+    pos[v] is the row of vertex v in `min_degree_order`, the grounded vertex
+    at k = len(u); u is the echelon form and pivots its pivots, the last
+    det(M), the spanning-tree count.
+    """
+
+    pos: list[int]
+    u: list[dict[int, int]]
+    pivots: list[int]
+
+
+def _factor(g: Graph) -> _Factor:
+    pos, rows = _grounded_rows(g)
+    return _Factor(pos, rows, _eliminate(rows))
+
+
+def _check_foster(edge_sum: int, n: int, den: int) -> None:
+    """Foster's theorem on n vertices: the resistances over the edges, edge_sum / den, add up to n - 1."""
+    if edge_sum != (n - 1) * den:
+        raise ArithmeticError("resistances fail Foster's theorem: the edge sum is not n - 1")
+
+
+def _certified_diagonal(g: Graph, f: _Factor) -> list[int]:
+    """x_vv = det * (M^{-1})_vv by vertex of g, 0 at the grounded vertex, read off `_selected_inverse`.
+
+    Certifies the selected entries by Foster's theorem over g's edges first,
+    which on x reads sum_v deg(v) x_vv - 2 sum_{uv in E} x_uv = (n - 1) det.
+    An edge's later endpoint is in its earlier endpoint's pattern, and an
+    edge to the grounded vertex has x_uv = 0.
+    """
+    z = _selected_inverse(f.u, f.pivots)
+    ground = len(z)
+    z.append({ground: 0})
+    diag = [z[p][p] for p in f.pos]
+    cross = 0
+    for a, b in g.edges():
+        i, j = f.pos[a], f.pos[b]
+        if ground not in (i, j):
+            cross += z[i][j]
+    _check_foster(sum(map(mul, map(len, g.adjacency), diag)) - 2 * cross, g.vertex_count, f.pivots[-1])
+    return diag
+
+
 class _Quotient(NamedTuple):
-    """g's quotient h by twin classes, h's grounded inverse and the split's terms, as `resistance_matrix` fills it.
+    """g's quotient h by twin classes, h's factor and grounded diagonal, and the split's terms.
 
     On the general route the classes are single vertices: h = g, no cuts,
-    scale 1 and every a_i 0. `_expand` builds num from it on both routes.
+    scale 1 and every a_i 0. `_pairs_total` reads the pair sums off it and
+    `_expand` builds num from it, on both routes.
     """
 
     h: Graph
     cls: list[int]  # the class of each vertex of g, a vertex of h
     cut: list[int]  # 1 when the two vertices of class i are not adjacent
-    x: list[list[int]]  # tau(h) M_h^{-1} by vertex of h, zero at the grounded vertex
+    factor: _Factor  # h's grounded Laplacian M_h
+    diag: list[int]  # x_ii of x = tau(h) M_h^{-1} by vertex of h, 0 at the grounded vertex
     scale: int  # 2^(2k-4) S
     a: list[int]  # 2^(2k-4) tau(h) S/s_i
 
 
-@dataclass
+@dataclass(eq=False)
 class ResistanceMatrix:
     """Exact pairwise effective resistances with a shared denominator.
 
     Entry (i, j) equals num[i][j] / den. `den` is the spanning-tree count of
     the graph, which is the natural common denominator of every resistance.
-    The pair sums are read off the grounded inverse of the quotient
-    `resistance_matrix` solved on either route (`_Quotient`, a private field
-    outside comparisons), never off num.
+    The pair sums are read off the solve record (`_Quotient`, private) on
+    either route, never off num. num itself is built from the record's
+    factor, and certified by Foster's theorem over the graph's edges, on
+    its first read (of `num` or `entry`): on the general route that read
+    pays for the whole grounded inverse and n^2 big integers, which the
+    sums never need; the twin route builds it in `resistance_matrix`. Two
+    matrices are equal when their order, den and num are.
     """
 
     order: int
-    num: list[list[int]]
     den: int
-    _quotient: _Quotient = field(repr=False, compare=False)
+    _g: Graph = field(repr=False)
+    _quotient: _Quotient = field(repr=False)
+    _num: list[list[int]] | None = field(default=None, repr=False)
+
+    @property
+    def num(self) -> list[list[int]]:
+        if self._num is None:
+            f = self._quotient.factor
+            self._num = _certified_num(self._g, self._quotient, self.den, _inverse_from_u(f.u, f.pivots))
+        return self._num
+
+    def __eq__(self, other):
+        if not isinstance(other, ResistanceMatrix):
+            return NotImplemented
+        return (self.order, self.den, self.num) == (other.order, other.den, other.num)
 
     def entry(self, i: int, j: int) -> Fraction:
         return Fraction(self.num[i][j], self.den)
@@ -234,12 +376,14 @@ def resistance_matrix(g: Graph) -> ResistanceMatrix:
     """Exact effective resistance between every vertex pair.
 
     When every vertex of g has a twin (`_twin_split`), solves the half-size
-    quotient H; otherwise solves g itself. `_expand` builds num from the
-    solve's grounded inverse on both routes. Either way the result is
+    quotient H; otherwise solves g itself. Either way the result is
     num[i][j] / den with den the spanning-tree count, so the two routes
-    return identical matrices. Before returning it checks Foster's theorem
-    over g's edges, sum of r_uv = n - 1, and raises ArithmeticError if that
-    fails. Raises DisconnectedGraphError on disconnected input.
+    return identical matrices. The general route stops at the factor and
+    certifies the selected entries of its inverse by Foster's theorem over
+    g's edges; num is built, and certified over g's edges, on first read.
+    The twin route builds H's whole inverse and num here and certifies num.
+    Raises ArithmeticError if a check fails and DisconnectedGraphError on
+    disconnected input.
     """
     n = g.vertex_count
     if n < 2:
@@ -248,31 +392,17 @@ def resistance_matrix(g: Graph) -> ResistanceMatrix:
         raise DisconnectedGraphError("graph is disconnected")
     split = _twin_split(g)
     if split is None:
-        x, den = _grounded_inverse(g)
-        q = _Quotient(g, list(range(n)), [0] * n, x, 1, [0] * n)
-    else:
-        h, cls, cut = split
-        x, tau = _grounded_inverse(h)
-        s = [len(nbrs) + 1 - c for nbrs, c in zip(h.adjacency, cut)]
-        big_s, shift = prod(s), 2 * h.vertex_count - 4
-        q = _Quotient(h, cls, cut, x, big_s << shift, [tau * (big_s // si) << shift for si in s])
-        den = (tau * big_s) << (shift + 2)
-    num = _expand(q)
-    if sum(num[u][v] for u, v in g.edges()) != (n - 1) * den:
-        raise ArithmeticError("resistances fail Foster's theorem: the edge sum is not n - 1")
-    return ResistanceMatrix(n, num, den, q)
-
-
-def _grounded_inverse(g: Graph) -> tuple[list[list[int]], int]:
-    """(x, det) for a connected g: x = det * M^{-1} by vertex, det the spanning-tree count.
-
-    M is g's Laplacian grounded at the last vertex of `min_degree_order`;
-    that vertex's row and column of x are zero. x is in vertex order.
-    """
-    pos, rows = _grounded_rows(g)
-    pivots = _eliminate(rows)
-    pick, y = itemgetter(*pos), _inverse_from_u(rows, pivots)
-    return [list(pick(y[p])) for p in pos], pivots[-1]
+        f = _factor(g)
+        q = _Quotient(g, list(range(n)), [0] * n, f, _certified_diagonal(g, f), 1, [0] * n)
+        return ResistanceMatrix(n, f.pivots[-1], g, q)
+    h, cls, cut = split
+    f = _factor(h)
+    y, tau = _inverse_from_u(f.u, f.pivots), f.pivots[-1]
+    s = [len(nbrs) + 1 - c for nbrs, c in zip(h.adjacency, cut)]
+    big_s, shift = prod(s), 2 * h.vertex_count - 4
+    q = _Quotient(h, cls, cut, f, [y[p][p] for p in f.pos], big_s << shift, [tau * (big_s // si) << shift for si in s])
+    den = (tau * big_s) << (shift + 2)
+    return ResistanceMatrix(n, den, g, q, _certified_num(g, q, den, y))
 
 
 def _twin_split(g: Graph) -> tuple[Graph, list[int], list[int]] | None:
@@ -323,21 +453,24 @@ def _twin_split(g: Graph) -> tuple[Graph, list[int], list[int]] | None:
     return Graph(len(pairs), tuple(quotient)), cls, [c for _, _, c in pairs]
 
 
-def _expand(q: _Quotient) -> list[list[int]]:
-    """num for g from the grounded inverse x of its quotient h, on either route.
+def _expand(q: _Quotient, y: list[list[int]]) -> list[list[int]]:
+    """num for g from the whole grounded inverse of its quotient h, on either route.
 
-    With d_i = scale x_ii + a_i, over den, vertices of distinct classes i, j
-    are t_ij = d_i + d_j - 2 scale x_ij apart and the two vertices of class
-    i are t_ii = 4 a_i apart. On the twin route that is r^h_ij / 4 +
-    1/(4 s_i) + 1/(4 s_j) and 1/s_i; on the general one (scale 1, every a_i
-    0) it is x_ii + x_jj - 2 x_ij. t is built over its upper triangle and
-    mirrored. With one-vertex classes it is num; otherwise each row of num
-    is picked from t by class.
+    y is `_inverse_from_u` on the record's factor, x = tau(h) M_h^{-1} in
+    solve order, and is read in place. With d_i = scale x_ii + a_i, over
+    den, vertices of distinct classes i, j are t_ij = d_i + d_j - 2 scale
+    x_ij apart and the two vertices of class i are t_ii = 4 a_i apart. On
+    the twin route that is r^h_ij / 4 + 1/(4 s_i) + 1/(4 s_j) and 1/s_i; on
+    the general one (scale 1, every a_i 0) it is x_ii + x_jj - 2 x_ij. t is
+    built over its upper triangle and mirrored. With one-vertex classes it
+    is num; otherwise each row of num is picked from t by class.
     """
-    scale2, a, x = q.scale << 1, q.a, q.x
-    d = [q.scale * row[i] + ai for i, (row, ai) in enumerate(zip(x, a))]
+    pos, pick = q.factor.pos, itemgetter(*q.factor.pos)
+    scale2, a = q.scale << 1, q.a
+    d = [q.scale * y[p][p] + ai for p, ai in zip(pos, a)]
     t = []
-    for i, (di, xi) in enumerate(zip(d, x)):
+    for i, (di, p) in enumerate(zip(d, pos)):
+        xi = pick(y[p])
         upper = [di + dj - scale2 * xij for dj, xij in zip(d[i + 1 :], xi[i + 1 :])]
         t.append([row[i] for row in t] + [a[i] << 2] + upper)
     if len(q.cls) == len(t):
@@ -346,6 +479,13 @@ def _expand(q: _Quotient) -> list[list[int]]:
     num = [list(pick(t[i])) for i in q.cls]
     for v, row in enumerate(num):
         row[v] = 0
+    return num
+
+
+def _certified_num(g: Graph, q: _Quotient, den: int, y: list[list[int]]) -> list[list[int]]:
+    """`_expand(q, y)`, once Foster's theorem over g's edges holds on it."""
+    num = _expand(q, y)
+    _check_foster(sum(num[u][v] for u, v in g.edges()), g.vertex_count, den)
     return num
 
 
@@ -360,24 +500,26 @@ def _class_sums(q: _Quotient, weights) -> tuple[list[int], list[int]]:
 
 
 def _pairs_total(q: _Quotient, weights) -> int:
-    """Sum of weights[u] * weights[v] * num[u][v] over the unordered pairs of g, in O(k^2) on the quotient.
+    """Sum of weights[u] * weights[v] * num[u][v] over the unordered pairs of g, off the record alone.
 
-    `_expand`'s table summed by pair, with its d_i and with W_i, P_i from `_class_sums`:
+    `_expand`'s table summed by pair, with W_i, P_i from `_class_sums`:
 
-        sum_i W_i (sum W - W_i) d_i - 2 scale sum_{i<j} W_i W_j x_ij + 4 sum_i a_i P_i
+        scale (sum W * sum_i W_i x_ii - W^T x W) + sum_i a_i (W_i (sum W - W_i) + 4 P_i)
 
-    No weight is assumed equal inside a class. When all W_i are equal, the
-    middle sum is W_0^2 sum_{i<j} x_ij, so unit weights on the general route
-    give n tr x - 1^T x 1.
+    No weight is assumed equal inside a class. On the general route that is
+    sum w * sum_u w_u x_uu - w^T x w. The diagonal is the record's, and
+    W^T x W is one `_bordered_form` over h's factor: no entry of x off the
+    diagonal is read.
     """
     w, p = _class_sums(q, weights)
-    total_w, scale, x = sum(w), q.scale, q.x
-    if w.count(w[0]) == len(w):
-        between = w[0] * w[0] * sum(sum(row[i + 1 :]) for i, row in enumerate(x))
-    else:
-        between = sum(wi * sum(map(mul, w[i + 1 :], row[i + 1 :])) for i, (wi, row) in enumerate(zip(w, x)))
-    ends = sum(wi * (total_w - wi) * (scale * row[i] + ai) for i, (wi, row, ai) in enumerate(zip(w, x, q.a)))
-    return ends - 2 * scale * between + 4 * sum(map(mul, q.a, p))
+    pos, u, pivots = q.factor
+    b = [0] * len(pos)
+    for r, wi in zip(pos, w):
+        b[r] = wi
+    b.pop()  # the grounded vertex: its row and column of x are zero
+    total_w = sum(w)
+    form = total_w * sum(map(mul, w, q.diag)) - _bordered_form(u, pivots, b)
+    return q.scale * form + sum(ai * (wi * (total_w - wi) + 4 * pi) for ai, wi, pi in zip(q.a, w, p))
 
 
 def kirchhoff_index(g: Graph) -> Fraction:

@@ -203,8 +203,12 @@ def random_sparse_graph(rng, v: int) -> Graph:
 
     A random spanning tree, edge (rng.randrange(i), i) for i = 1..v-1, then
     uniform random edges until there are round(4.5 v / 2). Seeded CI steps
-    rebuild their inputs from this, so keep its use of rng unchanged.
+    rebuild their inputs from this, so keep its use of rng unchanged. Below
+    6 vertices that many edges do not fit, and it raises ValueError before
+    drawing anything.
     """
+    if v < 6:
+        raise ValueError(f"random_sparse_graph needs v >= 6, got {v}")
     edges = {(rng.randrange(i), i) for i in range(1, v)}
     while len(edges) < round(4.5 * v / 2):
         edges.add(tuple(sorted(rng.sample(range(v), 2))))

@@ -39,6 +39,7 @@ from oracles import (
     cofactor_resistance,
     cycle_pair_resistance,
     random_connected_graph,
+    random_sparse_graph,
     random_tree,
 )
 
@@ -328,6 +329,7 @@ def test_elimination_pivots_are_the_leading_principal_minors():
 
 
 def test_resistances_that_fail_foster_raise(monkeypatch):
+    """On the general route the whole inverse is built, and num certified, on the first read of num."""
     real = exact._inverse_from_u
 
     def corrupted(*args):
@@ -336,8 +338,30 @@ def test_resistances_that_fail_foster_raise(monkeypatch):
         return y
 
     monkeypatch.setattr(exact, "_inverse_from_u", corrupted)
-    with pytest.raises(ArithmeticError, match="Foster"):
-        resistance_matrix(cycle(5))
+    rm = resistance_matrix(cycle(5))
+    for read in (lambda: rm.num, lambda: rm.entry(0, 1)):
+        with pytest.raises(ArithmeticError, match="Foster"):
+            read()
+
+
+@pytest.mark.parametrize("entry", ["diagonal", "edge"])
+def test_selected_entries_that_fail_foster_raise(monkeypatch, entry):
+    real = exact._selected_inverse
+
+    def corrupted(u, pivots):
+        z = real(u, pivots)
+        i = next(i for i, row in enumerate(z) if len(row) > 1)  # a row with an entry off the diagonal
+        j = i if entry == "diagonal" else next(j for j in z[i] if j != i)
+        z[i][j] += 1
+        z[j][i] = z[i][j]
+        return z
+
+    g = cycle(5)  # grounded, a path: no fill, so every selected entry off the diagonal is an edge's
+    assert exact._twin_split(g) is None
+    monkeypatch.setattr(exact, "_selected_inverse", corrupted)
+    for fn in (resistance_matrix, full_report):
+        with pytest.raises(ArithmeticError, match="Foster"):
+            fn(g)
 
 
 # Kf(C_5) = 10 and W(C_5) = 15; Kf = W = 10 on the path with 4 vertices.
@@ -532,8 +556,8 @@ def _assert_twin_sums_match(monkeypatch, g: Graph) -> None:
 
     The weights include a vector that differs between the two copies of
     every pair and one with zeros, since the quotient formula assumes
-    neither, and equal non-unit weights, which take its plain-sum branch;
-    the matrix itself equals the general route's.
+    neither, and equal non-unit weights; the matrix itself equals the
+    general route's.
     """
     split = exact._twin_split(g)
     assert split is not None, "g does not split into twin pairs"
@@ -682,7 +706,7 @@ def test_twin_route_pair_sums_match_triangle_sums_on_every_prism_member(monkeypa
 
 
 def _assert_general_sums_match(g: Graph, rng) -> None:
-    """On the general route, the pair sums read off the grounded inverse equal triangle sums over num.
+    """On the general route, the pair sums off the selected inverse and forward solves equal triangle sums over num.
 
     The weights are unit, degree, uneven (drawn from rng, negatives
     included) and equal non-unit ones.
@@ -715,3 +739,110 @@ def test_pair_sums_do_not_read_num(g):
     rm.num[0][1] += 1
     rm.num[1][0] += 1
     assert (rm.pairs_sum(), rm.weighted_pairs_sum(degrees(g))) == sums
+
+
+# ---------------------------------------------------------------------------
+# the general route's sums without the whole inverse, against the dense routes
+
+
+def _general_graphs(v: int):
+    """Seeded connected graphs on v vertices, sparse and dense, that take the general route."""
+    rng = random.Random(3000 + v)
+    for density in (0.05, 0.3):
+        g = random_connected_graph(rng, v, density)
+        if exact._twin_split(g) is None:
+            yield g
+
+
+@pytest.mark.parametrize("v", range(2, 41))
+def test_the_bordered_form_matches_the_dense_quadratic_form(v):
+    rng = random.Random(3100 + v)
+    for g in _general_graphs(v):
+        _, rows = exact._grounded_rows(g)
+        pivots = exact._eliminate(rows)
+        y = exact._inverse_from_u(rows, pivots)
+        k = len(rows)
+        kinds = (
+            ("unit", [1] * k),
+            ("zeros", [rng.choice((0, 0, rng.randint(-5, 8))) for _ in range(k)]),
+            ("negative", [rng.randint(-5, 8) for _ in range(k)]),
+            ("all zero", [0] * k),
+        )
+        for kind, b in kinds:
+            want = sum(bi * yij * bj for bi, row in zip(b, y) for yij, bj in zip(row, b))
+            assert exact._bordered_form(rows, pivots, b) == want, f"{kind} weights: b^T Y b differs"
+
+
+@pytest.mark.parametrize("v", range(2, 41))
+def test_the_selected_inverse_matches_the_whole_inverse_on_the_pattern(v):
+    for g in _general_graphs(v):
+        _, rows = exact._grounded_rows(g)
+        pivots = exact._eliminate(rows)
+        y = exact._inverse_from_u(rows, pivots)
+        z = exact._selected_inverse(rows, pivots)
+        assert len(z) == len(rows)
+        for i, zi in enumerate(z):
+            assert set(zi) == set(rows[i]) | {t for t in range(i) if i in rows[t]}, "not the pattern and diagonal"
+            assert all(x == y[i][j] for j, x in zi.items()), "a selected entry differs from the whole inverse"
+
+
+@pytest.mark.parametrize("v", range(2, 41))
+def test_general_route_num_is_built_on_first_read_and_matches_the_dense_oracle(monkeypatch, v):
+    calls = []
+    real = exact._inverse_from_u
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(exact, "_inverse_from_u", counted)
+    for g in _general_graphs(v):
+        calls.clear()
+        rm = resistance_matrix(g)
+        deg = degrees(g)
+        before = (rm.pairs_sum(), rm.weighted_pairs_sum(deg))
+        assert not calls, "the solve or its sums built the whole inverse"
+        num, den = bareiss_resistance(g)
+        assert (rm.den, rm.num) == (den, num), "num or den differs from the dense oracle"
+        assert rm.entry(0, v - 1) == Fraction(num[0][v - 1], den)
+        assert len(calls) == 1, "num was not built once, on its first read"
+        assert (rm.pairs_sum(), rm.weighted_pairs_sum(deg)) == before, "reading num moved a sum"
+        assert before == (_triangle_sum(rm, [1] * v), _triangle_sum(rm, deg)), "a sum differs from the sum over num"
+
+
+def _assert_report_needs_no_whole_inverse(monkeypatch, g: Graph) -> None:
+    """On the general route full_report runs with `_inverse_from_u` switched off, and its sums match those over num."""
+    rm = resistance_matrix(g)
+    want = (_triangle_sum(rm, [1] * g.vertex_count), _triangle_sum(rm, degrees(g)), rm.den)
+
+    def whole_inverse(*args):
+        raise AssertionError("full_report built the whole grounded inverse")
+
+    with monkeypatch.context() as m:
+        m.setattr(exact, "_inverse_from_u", whole_inverse)
+        rep = full_report(g)
+    assert (rep.kf, rep.kf_star, rep.tree_count) == want, "full_report differs from the sums over num"
+
+
+@pytest.mark.parametrize("v", range(2, 41, 3))
+def test_general_route_full_report_needs_no_whole_inverse(monkeypatch, v):
+    for g in _general_graphs(v):
+        _assert_report_needs_no_whole_inverse(monkeypatch, g)
+
+
+@pytest.mark.parametrize("v", range(2, 6))
+def test_random_sparse_graph_refuses_fewer_than_six_vertices_without_drawing(v):
+    rng = random.Random(7)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="v >= 6"):
+        random_sparse_graph(rng, v)
+    assert rng.getstate() == state
+
+
+def test_random_sparse_graph_keeps_its_draws():
+    """CI steps rebuild their graphs from seeds, so a change in how it draws would change them."""
+    g = random_sparse_graph(random.Random(1), 8)
+    assert g.edges() == [
+        (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 7), (1, 2), (1, 3), (1, 7),
+        (2, 3), (2, 7), (3, 4), (3, 5), (3, 6), (3, 7), (4, 6), (5, 7), (6, 7),
+    ]  # fmt: skip
